@@ -7,7 +7,7 @@ the engine is configured programmatically, not via env vars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # The 16 voivodeship slugs used as crawl partitions by the reference
@@ -315,18 +315,3 @@ class CrawlConfig:
     # and object-store footprint at any frontier size — at 10^10 URLs a
     # generation never has to fit one execution. None = single window.
     max_wave_rows: int | None = None
-
-
-@dataclass
-class CrawlStats:
-    """Per-run counters (analogue of the stats dicts merged at
-    /root/reference/scrapper/pipelines/run.py:76-87)."""
-
-    pages_fetched: int = 0
-    pages_failed: int = 0
-    offers_parsed: int = 0
-    offers_dropped: int = 0
-    links_discovered: int = 0
-    links_new: int = 0
-    generations: int = 0
-    extras: dict = field(default_factory=dict)

@@ -209,14 +209,6 @@ def _hash_tokens_matrix(texts: list[str], shingle_k: int) -> list[np.ndarray]:
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _mix(h: np.ndarray, seed: int) -> np.ndarray:
-    with np.errstate(over="ignore"):  # modular uint64 arithmetic is intended
-        x = (h + np.uint64(seed) * _MIX_A)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
-
-
 def minhash_signatures(texts, num_perm: int = 64, shingle_k: int = 3) -> np.ndarray:
     """(n, num_perm) uint64 MinHash signatures (empty text → all-max).
     One broadcast mix per document ((num_perm, n_shingles) in a single

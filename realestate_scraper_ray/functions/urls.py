@@ -168,10 +168,6 @@ def slugify(text: str) -> str:
     return "".join(out).rstrip("-")
 
 
-def slugify_batch(texts: list[str]) -> list[str]:
-    return [slugify(t) for t in texts]
-
-
 # ---------------------------------------------------------------------------
 # Polish dates — 'dd.mm.yyyy [HH:MM[:SS]]' → ISO-8601
 # (otodom.py:210-217; gratka.py:43-74).

@@ -42,15 +42,19 @@ def _mismatches(got: pd.DataFrame, exp: pd.DataFrame, keys: list[str],
     the compared columns. Floats compare with pandas'
     assert_series_equal default tolerance (rtol 1e-5) — the engine and
     oracle agree exactly in practice, but the gate should not be
-    stricter than the pytest suite it mirrors. Any divergence yields
+    stricter than the pytest suite it mirrors. A compared column (all
+    columns of both frames when ``cols`` is None) missing from either
+    frame makes every row a mismatch. Any divergence yields
     n_mismatch > 0; the count is a loudness signal, not a diff."""
     got = got.sort_values(keys).reset_index(drop=True)
     exp = exp.sort_values(keys).reset_index(drop=True)
-    use = [c for c in (cols or list(got.columns))
-           if c in got.columns and c in exp.columns]
+    want = cols or list(dict.fromkeys([*got.columns, *exp.columns]))
+    use = [c for c in want if c in got.columns and c in exp.columns]
+    if len(use) < len(want):
+        return max(len(got), len(exp), 1)
     overlap = min(len(got), len(exp))
     n = max(len(got), len(exp)) - overlap
-    if overlap == 0 or not use:
+    if overlap == 0:
         return n
     g, e = got.iloc[:overlap], exp.iloc[:overlap]
     bad = np.zeros(overlap, dtype=bool)

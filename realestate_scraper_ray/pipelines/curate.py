@@ -27,12 +27,13 @@ import json
 import os
 import uuid
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data.aggregate import Min
+
+from ..stages.exchange import bucket_of, exchange
 
 
 def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
@@ -89,29 +90,13 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
                        .select(["doc_id"]), batch_format="pyarrow"),
         "doc_id", "doc_id")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # content-keyed bucket via a vectorized splitmix64 finalizer —
-        # pure uint64 numpy arithmetic, so the key is independent of
-        # any library's hash implementation: buckets written by one
-        # environment resume identically in a rebuilt one (the
-        # guarantee a polars/xxh3 hash can't make across versions, and
-        # a per-row Python md5 loop paid dearly for)
-        x = np.asarray(t["doc_id"]).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            x = x + np.uint64(0x9E3779B97F4A7C15)
-            x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            x = x ^ (x >> np.uint64(31))
-        b = (x % np.uint64(n_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b, pa.int32()))
-
-    bucketed = survivors.map_batches(add_bucket, batch_format="pyarrow")
-
-    # each bucket's map_groups task writes its own file (atomic tmp +
-    # rename, skip-if-exists) — the write scales with the bucket count
-    # and only (bucket, rows, wrote) summary rows reach the driver
+    # content-keyed buckets (``exchange.bucket_of`` — version-stable,
+    # so buckets written by one environment resume identically in a
+    # rebuilt one); each bucket's task writes its own file (atomic tmp
+    # + rename, skip-if-exists) and only (bucket, rows, wrote) summary
+    # rows reach the driver
     def write_bucket(t: pa.Table) -> pa.Table:
-        bucket = int(t["bucket"][0].as_py())
+        bucket = int(bucket_of(t["doc_id"][:1], n_buckets)[0])
         bdir = os.path.join(out_dir, f"bucket={bucket:02d}")
         dest = os.path.join(bdir, "part.parquet")
         wrote = False
@@ -126,9 +111,8 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
                          "rows": pa.array([t.num_rows], pa.int64()),
                          "wrote": pa.array([wrote])})
 
-    summary = (bucketed.groupby("bucket")
-               .map_groups(write_bucket, batch_format="pyarrow")
-               .to_pandas())
+    summary = exchange(survivors, "doc_id", write_bucket,
+                       n_buckets).to_pandas()
     counts = dict(zip(summary["bucket"].astype(int),
                       summary["rows"].astype(int)))
     written = sorted(int(b) for b in summary["bucket"][summary["wrote"]])

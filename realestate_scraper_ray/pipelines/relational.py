@@ -33,6 +33,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..stages.exchange import exchange
+
 QUERIES: dict[str, Callable[[str], Any]] = {}
 ORACLE: dict[str, str] = {}
 
@@ -428,34 +430,9 @@ FROM o GROUP BY user_id
 """
 
 # The per-user window family (sessionize / top-k / lag / running total /
-# moving avg / as-of / range join) shares ONE exchange shape: shuffle on
-# a coarse hash bucket of user_id, then a single vectorized polars (or
-# pandas merge_asof) pass per bucket. A per-key groupby.map_groups pays
-# pandas/Python dispatch once per USER (~10²-row groups → the dispatch
-# dominates, the tiny-group pathology measured on tfidf); per-BUCKET
-# dispatch amortizes it over ~|users|/nb keys while the shuffle moves
-# the identical byte volume. Keys are never split across buckets.
+# moving avg / as-of / range join) runs ONE ``exchange`` on user_id, then
+# a single vectorized polars (or pandas merge_asof) pass per bucket.
 _WINDOW_BUCKETS = 64
-
-
-def _bucketed_groups(ds: rd.Dataset, key: str, fn,
-                     nb: int = _WINDOW_BUCKETS) -> rd.Dataset:
-    """One coarse-bucket shuffle + one vectorized ``fn`` call per bucket.
-    ``fn`` receives a pyarrow Table holding ALL rows of the bucket's
-    keys and must be key-vectorized internally (``group_by``/``over``
-    exprs, ``merge_asof``), never a Python loop over keys."""
-    mult = np.uint64(0x9E3779B97F4A7C15)
-
-    def add_bkt(t: pa.Table) -> pa.Table:
-        k = t[key].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((k * mult) >> np.uint64(40)) % np.uint64(nb)
-        return t.append_column("_bkt", pa.array(b.astype(np.int64)))
-
-    def run(t: pa.Table) -> pa.Table:
-        return fn(t.drop_columns(["_bkt"]))
-
-    return (ds.map_batches(add_bkt, batch_format="pyarrow")
-            .groupby("_bkt").map_groups(run, batch_format="pyarrow"))
 
 
 @query("events_sessionize", _SESSION_SQL)
@@ -475,7 +452,7 @@ def events_sessionize(sf_dir: str) -> rd.Dataset:
                   .sum().cast(pl.Int64).alias("n_sessions")))
         return g.to_arrow()
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", sessions))
+    return _as_arrow(exchange(ds, "user_id", sessions, _WINDOW_BUCKETS))
 
 
 _SEMI_SQL = """
@@ -583,7 +560,7 @@ def events_topk_per_user(sf_dir: str) -> rd.Dataset:
                .select(["user_id", "event_id", "value", "rnk"]))
         return out.to_arrow()
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", topk))
+    return _as_arrow(exchange(ds, "user_id", topk, _WINDOW_BUCKETS))
 
 
 _LAG_SQL = """
@@ -607,7 +584,7 @@ def events_lag(sf_dir: str) -> rd.Dataset:
                .select(["event_id", "user_id", "prev_value"]))
         return out.to_arrow()
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", lag))
+    return _as_arrow(exchange(ds, "user_id", lag, _WINDOW_BUCKETS))
 
 
 _RUNNING_SQL = """
@@ -642,7 +619,7 @@ def events_running_total(sf_dir: str) -> rd.Dataset:
         return (out.drop_columns(["rc"])
                 .append_column("running_value", pa.array(rv)))
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", running))
+    return _as_arrow(exchange(ds, "user_id", running, _WINDOW_BUCKETS))
 
 
 _MOVING_AVG_SQL = """
@@ -684,7 +661,7 @@ def events_moving_avg(sf_dir: str) -> rd.Dataset:
         return (out.drop_columns(["w", "n"])
                 .append_column("avg3", pa.array(avg3)))
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", mavg))
+    return _as_arrow(exchange(ds, "user_id", mavg, _WINDOW_BUCKETS))
 
 
 _ASOF_SQL = """
@@ -726,7 +703,7 @@ def events_asof_purchase(sf_dir: str) -> rd.Dataset:
             m[["event_id", "user_id", "prev_purchase_value"]],
             preserve_index=False)
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", asof))
+    return _as_arrow(exchange(ds, "user_id", asof, _WINDOW_BUCKETS))
 
 
 _RANGE_JOIN_SQL = """
@@ -772,7 +749,7 @@ def events_range_join(sf_dir: str) -> rd.Dataset:
         return pa.table({"event_id": pa.array(m["event_id"].to_numpy()),
                          "n_within_5min": pa.array(n.to_numpy())})
 
-    return _as_arrow(_bucketed_groups(ds, "user_id", band_count))
+    return _as_arrow(exchange(ds, "user_id", band_count, _WINDOW_BUCKETS))
 
 
 @query("events_json_extract",
@@ -4781,21 +4758,16 @@ def graph_triangles(sf_dir: str) -> rd.Dataset:
     orientation-invariant)."""
     from ..stages.graph import triangle_counts
     li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    nb = 32
 
-    def _tag(t: pa.Table) -> pa.Table:
-        o = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        from ..stages.graph import _h
-        return pa.table({
-            "bo": (_h(o) % np.uint64(nb)).astype(np.int32),
-            "o": o.astype(np.int64),
-            "p": pc.cast(t["l_partkey"], pa.int64())})
+    def _cast(t: pa.Table) -> pa.Table:
+        return pa.table({"o": pc.cast(t["l_orderkey"], pa.int64()),
+                         "p": pc.cast(t["l_partkey"], pa.int64())})
 
-    def _copairs(g: pd.DataFrame) -> pd.DataFrame:
+    def _copairs(t: pa.Table) -> pd.DataFrame:
         # one orderkey bucket: distinct (order, part), vectorized
         # all-pairs within each order's contiguous run
         from ..stages.graph import _pairs_within_runs
-        g = g.drop_duplicates(["o", "p"]) \
+        g = t.to_pandas().drop_duplicates(["o", "p"]) \
              .sort_values(["o", "p"], kind="stable", ignore_index=True)
         fi, si = _pairs_within_runs(g["o"].to_numpy())
         if len(fi) == 0:
@@ -4804,8 +4776,8 @@ def graph_triangles(sf_dir: str) -> rd.Dataset:
         p = g["p"].to_numpy()
         return pd.DataFrame({"id_a": p[fi], "id_b": p[si]})
 
-    edges = (li.map_batches(_tag, batch_format="pyarrow")
-             .groupby("bo").map_groups(_copairs, batch_format="pandas"))
+    edges = exchange(li.map_batches(_cast, batch_format="pyarrow"), "o",
+                     _copairs, 32)
     counts = triangle_counts(edges, "id_a", "id_b")
     top = counts.sort(["n_tri", "node"], descending=[True, False]) \
                 .limit(20)
@@ -5048,7 +5020,7 @@ def interleaved_span_dedup(sf_dir: str) -> pd.DataFrame:
             "user_id", pl.col("event_type").alias("kind"),
             "props", "off"]).to_arrow()
 
-    flat = _bucketed_groups(ds, "user_id", rank)
+    flat = exchange(ds, "user_id", rank, _WINDOW_BUCKETS)
 
     def add_keys(t: pa.Table) -> pa.Table:
         h = np.asarray(rolling_hash64(t["props"].combine_chunks())) \
@@ -5807,27 +5779,22 @@ def events_string_agg_daily(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "events", ["event_id", "ts", "event_type"],
              filter=pc.field("event_type").isin(["signup", "purchase"]))
 
+    def add_day(t: pa.Table) -> pa.Table:
+        day = (t["ts"].to_numpy().astype("datetime64[us]")
+               .astype(np.int64) // 86_400_000_000)
+        return pa.table({"event_id": t["event_id"],
+                         "event_type": t["event_type"], "day": day})
+
     def agg(t: pa.Table) -> pa.Table:
-        df = (pl.from_arrow(t)
-              .with_columns((pl.col("ts").cast(pl.Int64)
-                             // 86_400_000_000).alias("day"))
-              .sort("event_id"))
-        g = (df.group_by(["event_type", "day"])
+        g = (pl.from_arrow(t).sort("event_id")
+             .group_by(["event_type", "day"])
              .agg(pl.col("event_id").cast(pl.Utf8).str.join(",")
                   .alias("id_list"),
                   pl.len().cast(pl.Int64).alias("n")))
         return g.select(["event_type", "day", "id_list", "n"]).to_arrow()
 
-    def add_day_bkt(t: pa.Table) -> pa.Table:
-        day = (t["ts"].to_numpy().astype("datetime64[us]")
-               .astype(np.int64) // 86_400_000_000)
-        return t.append_column("_bkt", pa.array(day % 16))
-
-    out = (ds.map_batches(add_day_bkt, batch_format="pyarrow")
-           .groupby("_bkt")
-           .map_groups(lambda t: agg(t.drop_columns(["_bkt"])),
-                       batch_format="pyarrow")
-           .to_pandas())
+    out = exchange(ds.map_batches(add_day, batch_format="pyarrow"), "day",
+                   agg, 16).to_pandas()
     out["day"] = out["day"].astype("int64")
     out["n"] = out["n"].astype("int64")
     return (out.sort_values(["event_type", "day"]).reset_index(drop=True)
@@ -5892,7 +5859,7 @@ def funnel_conversion(sf_dir: str) -> pd.DataFrame:
                  per_user["tc"].is_not_null().sum(),
                  per_user["tp"].is_not_null().sum()], np.int64)})
 
-    parts = _bucketed_groups(ds, "user_id", stages)
+    parts = exchange(ds, "user_id", stages, _WINDOW_BUCKETS)
     out = (parts.groupby(["stage", "stage_idx"])
            .aggregate(Sum("n_users", alias_name="n_users")).to_pandas())
     out["stage_idx"] = out["stage_idx"].astype("int64")
@@ -5939,7 +5906,7 @@ def retention_cohorts(sf_dir: str) -> pd.DataFrame:
              .group_by(["d0", "day_offset"]).len().rename({"len": "n"}))
         return g.to_arrow()
 
-    parts = _bucketed_groups(ds, "user_id", cohort)
+    parts = exchange(ds, "user_id", cohort, _WINDOW_BUCKETS)
     out = (parts.groupby(["d0", "day_offset"])
            .aggregate(Sum("n", alias_name="n_users")).to_pandas())
     # epoch-day → ISO date string, matching the oracle's VARCHAR cast
@@ -6187,7 +6154,7 @@ def events_transition_matrix(sf_dir: str) -> pd.DataFrame:
               .agg(pl.len().cast(pl.Int64).alias("n")))
         return df.to_arrow()
 
-    part = (_bucketed_groups(ds, "user_id", transitions)
+    part = (exchange(ds, "user_id", transitions, _WINDOW_BUCKETS)
             .groupby(["event_type", "next_type"])
             .aggregate(Sum("n", alias_name="n_pairs")).to_pandas())
     # row-normalize on the driver: the matrix is |types|²-sized
@@ -6604,7 +6571,7 @@ def events_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
         return pl.concat([pairs.select(cols), supp.select(cols),
                           nu.select(cols)]).to_arrow()
 
-    agg = (_bucketed_groups(ds, "user_id", partials)
+    agg = (exchange(ds, "user_id", partials, _WINDOW_BUCKETS)
            .groupby(["kind", "type_a", "type_b"])
            .aggregate(Sum("n", alias_name="n")).to_pandas())
     n_users = int(agg.loc[agg["kind"] == 0, "n"].iloc[0])
@@ -6679,8 +6646,8 @@ def events_longest_streak(sf_dir: str) -> pd.DataFrame:
                      pl.len().cast(pl.Int64).alias("n_streaks"))
                 .to_arrow())
 
-    out = (_bucketed_groups(ds.map_batches(to_days, batch_format="pyarrow"),
-                            "user_id", islands).to_pandas())
+    out = (exchange(ds.map_batches(to_days, batch_format="pyarrow"),
+                    "user_id", islands, _WINDOW_BUCKETS).to_pandas())
     return (out.astype({"user_id": "int64", "n_days": "int64",
                         "longest_streak": "int64", "n_streaks": "int64"})
             .sort_values("user_id").reset_index(drop=True))
@@ -6766,7 +6733,7 @@ def waiting_suppliers(sf_dir: str) -> pd.DataFrame:
 
     flat = (orders.map_batches(o_rows, batch_format="pyarrow")
             .union(line.map_batches(l_rows, batch_format="pyarrow")))
-    counts = (_bucketed_groups(flat, "okey", quantify)
+    counts = (exchange(flat, "okey", quantify, _WINDOW_BUCKETS)
               .groupby("skey").aggregate(Sum("n", alias_name="numwait"))
               .to_pandas())
     import pyarrow.parquet as pq
@@ -7203,7 +7170,6 @@ def events_sliding_distinct(sf_dir: str) -> pd.DataFrame:
     user-scale. Anchors restrict to event-bearing hours via a
     broadcast of the (calendar-bounded) hour set."""
     ds = _pq(sf_dir, "events", ["ts", "user_id"])
-    mult = np.uint64(0x9E3779B97F4A7C15)
 
     def hour_partial(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -7234,20 +7200,15 @@ def events_sliding_distinct(sf_dir: str) -> pd.DataFrame:
         # 21 bits until year ~2240, leaving 42 bits for user ids (4.4e12
         # users) — asserted, not assumed
         assert u.size == 0 or (u.max() < (1 << 42) and u.min() >= 0)
-        key = np.unique((w << np.int64(42)) | u)
-        w, u = key >> 42, key & ((1 << 42) - 1)
-        b = (((key.astype(np.uint64) * mult) >> np.uint64(40))
-             % np.uint64(32)).astype(np.int64)
-        return pa.table({"b": b, "w": w, "u": u})
+        return pa.table({"wu": np.unique((w << np.int64(42)) | u)})
 
     def fold(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.drop_columns(["b"]))
-        out = (df.unique(["w", "u"]).group_by("w")
-               .agg(pl.len().cast(pl.Int64).alias("n")))
-        return out.to_arrow()
+        w = np.unique(t["wu"].to_numpy()) >> 42
+        wins, n = np.unique(w, return_counts=True)
+        return pa.table({"w": wins, "n": n.astype(np.int64)})
 
-    parts = (ds.map_batches(replicate, batch_format="pyarrow")
-             .groupby("b").map_groups(fold, batch_format="pyarrow")
+    parts = (exchange(ds.map_batches(replicate, batch_format="pyarrow"),
+                      "wu", fold, 32)
              .to_pandas().groupby("w")["n"].sum())
     return pd.DataFrame({
         "window_hour": parts.index.astype("int64"),
@@ -7387,12 +7348,6 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
     from collections import OrderedDict
 
     ne = len(_FK_EDGES)
-    nb = 32
-    mult = np.uint64(0x9E3779B97F4A7C15)
-
-    def bkt(u: np.ndarray) -> np.ndarray:
-        return (((u.astype(np.uint64) * mult) >> np.uint64(40))
-                % np.uint64(nb)).astype(np.int64)
 
     # roles per physical table: (tag, column, is_fact) — customer and
     # nation appear as both fact and dimension; one scan serves both
@@ -7401,7 +7356,7 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
         roles.setdefault(f, []).append((ei, fk, True))
         roles.setdefault(d, []).append((ne + ei, dk, False))
 
-    flat = None
+    scans = []
     for tbl, rs in roles.items():
         path = os.path.join(sf_dir, f"{tbl}.parquet")
         nblk = max(1, os.path.getsize(path) // (64 << 20))
@@ -7418,11 +7373,10 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
                     u = np.unique(k)
                     cnt = np.ones(len(u))
                 parts.append(pa.table({
-                    "b": bkt(u), "c": np.full(len(u), tag, np.int64),
+                    "c": np.full(len(u), tag, np.int64),
                     "k": u, "n": cnt.astype(np.int64)}))
                 if is_fact and nulls:
                     parts.append(pa.table({
-                        "b": np.zeros(1, np.int64),
                         "c": np.full(1, 2 * ne + tag, np.int64),
                         "k": np.zeros(1, np.int64),
                         "n": np.full(1, nulls, np.int64)}))
@@ -7433,10 +7387,10 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
                                 override_num_blocks=nblk)
                 .map_batches(partial, batch_format="pyarrow",
                              batch_size=None))
-        flat = part if flat is None else flat.union(part)
+        scans.append(part)
 
     def audit(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.drop_columns(["b"]))
+        df = pl.from_arrow(t)
         out = {"c": [], "n_keys": [], "n_rows": [],
                "m_keys": [], "m_rows": []}
         for tag in df["c"].unique().to_list():
@@ -7463,9 +7417,7 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
             out["m_rows"].append(int(fn[hit].sum()))
         return pl.DataFrame(out).cast(pl.Int64).to_arrow()
 
-    parts = (flat.groupby("b")
-             .map_groups(audit, batch_format="pyarrow")
-             .to_pandas().groupby("c").sum())
+    parts = exchange(scans, "k", audit, 32).to_pandas().groupby("c").sum()
     rows = []
     for ei, (f, fk, d, dk) in enumerate(_FK_EDGES):
         p = parts.loc[ei]
@@ -7527,16 +7479,12 @@ def corpus_inverted_index(sf_dir: str) -> pd.DataFrame:
             "token": pc.list_flatten(toks),
             "doc_id": pc.take(t["doc_id"], parent)})
         flat = flat.filter(pc.not_equal(flat["token"], ""))
-        g = pl.from_arrow(flat).group_by(["token", "doc_id"]).len("n")
-        # bucket by token hash: stable within one execution is all the
-        # exchange needs (no cross-run state keyed by this hash)
-        g = g.with_columns(
-            (pl.col("token").hash(seed=7) % 32).cast(pl.Int64).alias("b"))
-        return g.to_arrow()
+        return pl.from_arrow(flat).group_by(["token", "doc_id"]) \
+            .len("n").to_arrow()
 
     def fold(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.drop_columns(["b"]))
-        posts = df.group_by(["token", "doc_id"]).agg(pl.col("n").sum())
+        posts = (pl.from_arrow(t).group_by(["token", "doc_id"])
+                 .agg(pl.col("n").sum()))
         idx = (posts.group_by("token")
                .agg(pl.len().cast(pl.Int64).alias("df"),
                     pl.col("n").sum().cast(pl.Int64).alias("tf"),
@@ -7544,9 +7492,8 @@ def corpus_inverted_index(sf_dir: str) -> pd.DataFrame:
                .filter(pl.col("df") >= _INVIDX_MIN_DF))
         return idx.to_arrow()
 
-    idx = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("b").map_groups(fold, batch_format="pyarrow")
-           .to_pandas())
+    idx = exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                   "token", fold, 32).to_pandas()
     return (idx.astype({"df": "int64", "tf": "int64",
                         "first_doc": "int64"})
             .sort_values("token").reset_index(drop=True))
@@ -7698,26 +7645,21 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
     same key hash; per bucket a vectorized polars sort/first resolves
     the winner and applies delete/upsert. No join, no second exchange;
     at 100 TB both sides hash-partition by key and only per-batch-
-    reduced rows move. Values in exact integer cents."""
-    mult = np.uint64(0x9E3779B97F4A7C15)
-    nb = 32
-
-    def bkt(u: np.ndarray) -> np.ndarray:
-        return (((u.astype(np.uint64) * mult) >> np.uint64(40))
-                % np.uint64(nb)).astype(np.int64)
+    reduced rows move. Values in exact integer cents, rounded half away
+    from zero like the oracle's ROUND."""
 
     def log_partial(t: pa.Table) -> pa.Table:
         df = (pl.from_arrow(t)
               .with_columns(pl.col("ts").cast(pl.Int64),
-                            (pl.col("value") * 100).round(0)
+                            (pl.col("value") * 100)
+                            .round(0, mode="half_away_from_zero")
                             .cast(pl.Int64).alias("v"))
               .sort(["user_id", "ts", "event_id"],
                     descending=[False, True, True])
               .group_by("user_id", maintain_order=True).first())
         k = df["user_id"].to_numpy()
         return pa.table({
-            "b": bkt(k), "key": k,
-            "is_base": np.zeros(len(k), bool),
+            "key": k, "is_base": np.zeros(len(k), bool),
             "ts": df["ts"].to_numpy(),
             "event_id": df["event_id"].to_numpy(),
             "etype": df["event_type"].to_arrow(),
@@ -7726,11 +7668,12 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
     def base_rows(t: pa.Table) -> pa.Table:
         k = pc.cast(t["c_custkey"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        v = pc.cast(pc.round(pc.multiply(t["c_acctbal"], 100.0)),
+        v = pc.cast(pc.round(pc.multiply(t["c_acctbal"], 100.0),
+                             round_mode="half_towards_infinity"),
                     pa.int64()).to_numpy(zero_copy_only=False)
         n = len(k)
         return pa.table({
-            "b": bkt(k), "key": k, "is_base": np.ones(n, bool),
+            "key": k, "is_base": np.ones(n, bool),
             "ts": np.full(n, -1, np.int64),
             "event_id": np.full(n, -1, np.int64),
             "etype": pa.array([""] * n, pa.string()),
@@ -7743,7 +7686,7 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
             .map_batches(base_rows, batch_format="pyarrow"))
 
     def resolve(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.drop_columns(["b"]))
+        df = pl.from_arrow(t)
         log_ = df.filter(~pl.col("is_base"))
         win = (log_.sort(["key", "ts", "event_id"],
                          descending=[False, True, True])
@@ -7759,8 +7702,7 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
                         pl.col("v").alias("value_cents")])])
         return out.to_arrow()
 
-    got = (log.union(base).groupby("b")
-           .map_groups(resolve, batch_format="pyarrow").to_pandas())
+    got = exchange([log, base], "key", resolve, 32).to_pandas()
     return (got.astype({"key": "int64", "value_cents": "int64"})
             .sort_values("key").reset_index(drop=True))
 
@@ -7798,18 +7740,15 @@ def lineitem_key_skew(sf_dir: str) -> pd.DataFrame:
     floor division. 3.5 → ~0.6 s at sf0.1."""
     path = os.path.join(sf_dir, "lineitem.parquet")
     nblk = max(1, os.path.getsize(path) // (64 << 20))
-    mult = np.uint64(0x9E3779B97F4A7C15)
 
     def partial(t: pa.Table) -> pa.Table:
         k = pc.cast(t["l_partkey"], pa.int64()).to_numpy(
             zero_copy_only=False)
         u, cnt = np.unique(k, return_counts=True)
-        b = (((u.astype(np.uint64) * mult) >> np.uint64(40))
-             % np.uint64(32)).astype(np.int64)
-        return pa.table({"b": b, "k": u, "n": cnt.astype(np.int64)})
+        return pa.table({"k": u, "n": cnt.astype(np.int64)})
 
     def bucket_top(t: pa.Table) -> pa.Table:
-        df = (pl.from_arrow(t.drop_columns(["b"]))
+        df = (pl.from_arrow(t)
               .group_by("k").agg(pl.col("n").sum())
               .sort(["n", "k"], descending=[True, False]))
         # sentinel row k=-1 carries the bucket's total row count so
@@ -7821,12 +7760,11 @@ def lineitem_key_skew(sf_dir: str) -> pd.DataFrame:
                          schema={"k": pl.Int64, "n": pl.Int64}),
         ]).to_arrow()
 
-    parts = (rd.read_parquet(path, columns=["l_partkey"],
-                             override_num_blocks=nblk)
-             .map_batches(partial, batch_format="pyarrow",
-                          batch_size=None)
-             .groupby("b").map_groups(bucket_top, batch_format="pyarrow")
-             .to_pandas())
+    counts = (rd.read_parquet(path, columns=["l_partkey"],
+                              override_num_blocks=nblk)
+              .map_batches(partial, batch_format="pyarrow",
+                           batch_size=None))
+    parts = exchange(counts, "k", bucket_top, 32).to_pandas()
     total = int(parts.loc[parts["k"] == -1, "n"].sum())
     top = (parts[parts["k"] >= 0]
            .sort_values(["n", "k"], ascending=[False, True])

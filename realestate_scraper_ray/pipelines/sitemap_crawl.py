@@ -123,14 +123,16 @@ def sitemap_crawl(portal_cfg: PortalConfig,
 
     from ..functions.urls import extract_offer_ids
     adm = pa.Table.from_pylist(admitted.take_all())
-    if adm.num_rows:
-        urls = pa.table({
-            "offer_url": adm["url"],
-            "offer_id": extract_offer_ids(adm["url"].combine_chunks()),
-            "page_idx": adm["page_idx"], "source": adm["source"],
-            "region": adm["region"], "pos": adm["pos"]})
-    else:
-        urls = pa.table({})
+    if not adm.num_rows:  # nothing admitted: keep the typed urls schema
+        adm = pa.table({c: pa.array([], t) for c, t in (
+            ("url", pa.string()), ("page_idx", pa.int64()),
+            ("source", pa.string()), ("region", pa.string()),
+            ("pos", pa.int64()))})
+    urls = pa.table({
+        "offer_url": adm["url"],
+        "offer_id": extract_offer_ids(adm["url"].combine_chunks()),
+        "page_idx": adm["page_idx"], "source": adm["source"],
+        "region": adm["region"], "pos": adm["pos"]})
     return SitemapCrawlResult(
         offers=offers, photos=photos, urls=urls,
         n_entries=int(entries.count()), n_admitted=adm.num_rows)

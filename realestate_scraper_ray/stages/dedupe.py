@@ -32,11 +32,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Min
+from ray.data.aggregate import Count, Max, Min
 
 from ..functions.textstats import (
     minhash_signatures, rolling_hash64, simhash64,
 )
+from .exchange import exchange
 
 _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
@@ -114,16 +115,13 @@ def minhash_lsh_pairs(ds: rd.Dataset, text_col: str, id_col: str,
             "band": np.tile(np.arange(bands, dtype=np.int32), n),
             # int64 view: groupby keys must stay in Python-int-safe range
             "band_hash": flat.view(np.int64),
-            # coarse partition key: one map_groups call per partition,
-            # not per bucket (a per-bucket UDF call is the scale killer
-            # at ~1 bucket per document × bands)
-            "part": (flat % np.uint64(n_parts)).astype(np.int32),
         })
 
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def part_pairs(t: pa.Table) -> pd.DataFrame:
         # within one partition: only buckets with ≥2 members can emit
         # pairs — prefilter with a vectorized duplicated() mask, then
         # loop over just those (rare) buckets
+        g = t.to_pandas()
         d = g[g.duplicated(["band", "band_hash"], keep=False)]
         if d.empty:
             return pd.DataFrame({"id_a": [], "id_b": []})
@@ -135,9 +133,11 @@ def minhash_lsh_pairs(ds: rd.Dataset, text_col: str, id_col: str,
         return pd.DataFrame({"id_a": np.concatenate(ia),
                              "id_b": np.concatenate(ib)})
 
-    cand = (ds.map_batches(to_bands, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(part_pairs, batch_format="pandas")
+    # coarse partitions: one fold call per partition, not per LSH bucket
+    # (a per-bucket UDF call is the scale killer at ~1 bucket per
+    # document × bands)
+    cand = (exchange(ds.map_batches(to_bands, batch_format="pyarrow"),
+                     "band_hash", part_pairs, n_parts)
             .groupby(["id_a", "id_b"])
             .aggregate(Count(alias_name="n_buckets"))
             .materialize())  # small (pairs only); joined twice below
@@ -264,10 +264,10 @@ def simhash_pairs(ds: rd.Dataset, text_col: str, id_col: str,
             "simhash": np.repeat(sh, 4).view(np.int64),
             "band": np.tile(np.arange(4, dtype=np.int32), n),
             "band_val": flat.view(np.int64),
-            "part": (flat % np.uint64(n_parts)).astype(np.int32),
         })
 
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def part_pairs(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         d = g[g.duplicated(["band", "band_val"], keep=False)]
         if d.empty:
             return pd.DataFrame({"id_a": [], "id_b": [], "hamming": []})
@@ -284,9 +284,8 @@ def simhash_pairs(ds: rd.Dataset, text_col: str, id_col: str,
                              "id_b": np.concatenate(ib),
                              "hamming": np.concatenate(hm)})
 
-    out = (ds.map_batches(to_bands, batch_format="pyarrow")
-           .groupby("part")
-           .map_groups(part_pairs, batch_format="pandas")
+    out = (exchange(ds.map_batches(to_bands, batch_format="pyarrow"),
+                    "band_val", part_pairs, n_parts)
            .groupby(["id_a", "id_b"])
            .aggregate(Min("hamming", alias_name="hamming"))
            .to_pandas())
@@ -537,14 +536,7 @@ def similarity_join_jaccard(ds: rd.Dataset, text_col: str, id_col: str,
                              "side": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64()),
                              "hblob": pa.array([], pa.binary())})
-        pt = np.concatenate(ptok)
-        # coarse verify bucket: ~n_verify_buckets map_groups tasks
-        # instead of one per prefix token (sf0.1 measured 20k groups of
-        # mean 6.5 rows — the per-tiny-group overhead pathology)
-        pbkt = ((pt.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(40)) % np.uint64(n_verify_buckets)
-        return pa.table({"ptok": pt,
-                         "pbkt": pbkt.astype(np.int64),
+        return pa.table({"ptok": np.concatenate(ptok),
                          "id": np.concatenate(pid),
                          "side": np.concatenate(pside),
                          "n": np.concatenate(pn),
@@ -608,10 +600,13 @@ def similarity_join_jaccard(ds: rd.Dataset, text_col: str, id_col: str,
     # several prefix groups carries IDENTICAL exact (inter_n, union_n)
     # in each, so the cross-group dedup is a plain drop_duplicates on
     # the output-sized frame — no sort-based Min aggregate needed
+    # coarse verify buckets: ~n_verify_buckets fold tasks instead of one
+    # per prefix token (sf0.1 measured 20k groups of mean 6.5 rows — the
+    # per-tiny-group overhead pathology)
     vtabs = [t for t in ray.get(
-        ds.map_batches(emit_prefix, batch_format="pyarrow")
-        .groupby("pbkt")
-        .map_groups(bucket_verify, batch_format="pandas")
+        exchange(ds.map_batches(emit_prefix, batch_format="pyarrow"),
+                 "ptok", lambda t: bucket_verify(t.to_pandas()),
+                 n_verify_buckets)
         .materialize().to_arrow_refs()) if t.num_rows]
     if not vtabs:
         return pd.DataFrame({"r_id": pd.Series([], dtype="int64"),
@@ -720,8 +715,8 @@ def duplicated_window_stats(ds: rd.Dataset, text_col: str, id_col: str,
     ``word_shingle_set``).
 
     Scale shape: ``map_batches`` explodes each doc into its DISTINCT
-    window hashes (per-doc dedup before the shuffle), one groupby on the
-    window hash marks group size, one groupby on the doc id folds the
+    window hashes (per-doc dedup before the shuffle), one ``exchange`` on
+    the window hash marks group size, one groupby on the doc id folds the
     per-doc counters — two all-to-all exchanges of (doc_id, win) pairs,
     no driver materialization, no text ever leaves its batch. Window
     identity is the 64-bit shingle hash (deterministic sha1-based word
@@ -750,13 +745,9 @@ def duplicated_window_stats(ds: rd.Dataset, text_col: str, id_col: str,
             out_ids.append(np.full(u.size, ids[i], dtype=np.int64))
         if not out_ids:
             return pa.table({id_col: pa.array([], pa.int64()),
-                             "win": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int32())})
-        wins = np.concatenate(out_wins)
+                             "win": pa.array([], pa.int64())})
         return pa.table({id_col: np.concatenate(out_ids),
-                         # int64 view: groupby keys round-trip Python ints
-                         "win": wins.view(np.int64),
-                         "part": (wins % np.uint64(n_parts)).astype(np.int32)})
+                         "win": np.concatenate(out_wins).view(np.int64)})
 
     def mark_part(g: pa.Table) -> pa.Table:
         w = np.asarray(g["win"])
@@ -771,8 +762,8 @@ def duplicated_window_stats(ds: rd.Dataset, text_col: str, id_col: str,
         dup[order] = dup_sorted
         return pa.table({id_col: g[id_col], "dup": dup})
 
-    return (ds.map_batches(win_rows, batch_format="pyarrow")
-            .groupby("part").map_groups(mark_part, batch_format="pyarrow")
+    return (exchange(ds.map_batches(win_rows, batch_format="pyarrow"),
+                     "win", mark_part, n_parts)
             .groupby(id_col)
             .aggregate(Count(alias_name="n_windows"),
                        Sum("dup", alias_name="dup_windows")))
@@ -1068,8 +1059,18 @@ def containment_pairs(ds: rd.Dataset, text_col: str, id_col: str,
     different gate). Integer gate ``inter·1000 ≥ ⌈τ·1000⌉·n_a`` —
     hash-exact against a SQL oracle.
 
+    Ids must fit 31 bits (0 ≤ id < 2³¹): candidate pairs pack into one
+    int64 key — the same contract as ``fuzzy.fuzzy_selfjoin_editdist``.
+    Other ids raise ``ValueError``.
+
     Returns (contained_id, container_id, inter_n, n_contained)."""
     thr_mille = int(round(threshold * 1000))
+    bounds = ds.select_columns([id_col]).aggregate(
+        Min(id_col, alias_name="lo"), Max(id_col, alias_name="hi"))
+    if bounds["lo"] is not None and not (
+            0 <= bounds["lo"] and bounds["hi"] < (1 << 31)):
+        raise ValueError(f"containment_pairs: {id_col} must be in "
+                         f"[0, 2**31), got [{bounds['lo']}, {bounds['hi']}]")
 
     from ..functions.textstats import _hash_tokens_matrix
 
@@ -1129,25 +1130,21 @@ def containment_pairs(ds: rd.Dataset, text_col: str, id_col: str,
             oid.append(np.full(n, i, dtype=np.int64))
             orole.append(np.ones(n, dtype=np.int64))
         if not otok:
-            return pa.table({"b": pa.array([], pa.int64()),
-                             "tok": pa.array([], pa.int64()),
+            return pa.table({"tok": pa.array([], pa.int64()),
                              "id": pa.array([], pa.int64()),
                              "role": pa.array([], pa.int64())})
-        tk = np.concatenate(otok)
-        b = ((tk.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-             >> np.uint64(40)) % np.uint64(n_buckets)
-        return pa.table({"b": b.astype(np.int64), "tok": tk,
+        return pa.table({"tok": np.concatenate(otok),
                          "id": np.concatenate(oid),
                          "role": np.concatenate(orole)})
 
-    def bucket_cands(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_cands(t: pa.Table) -> pd.DataFrame:
         # probes x indexes per shared token as ONE vectorized polars
         # inner join (a per-token-run Python loop measured 20+ s at
         # sf0.1); ids pack into an int64 key for the exact dedup
         import polars as pl
         empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
                               "id_b": pd.Series([], dtype="int64")})
-        df = pl.from_pandas(g).unique(["tok", "id", "role"])
+        df = pl.from_arrow(t).unique(["tok", "id", "role"])
         pr = (df.filter(pl.col("role") == 0)
               .select(["tok", pl.col("id").alias("id_a")]))
         ix = (df.filter(pl.col("role") == 1)
@@ -1161,9 +1158,8 @@ def containment_pairs(ds: rd.Dataset, text_col: str, id_col: str,
         return pd.DataFrame({"id_a": (key >> 31).astype(np.int64),
                              "id_b": (key & ((1 << 31) - 1)).astype(np.int64)})
 
-    cand = (ds.map_batches(emit_roles, batch_format="pyarrow")
-            .groupby("b").map_groups(bucket_cands, batch_format="pandas")
-            .materialize())
+    cand = exchange(ds.map_batches(emit_roles, batch_format="pyarrow"),
+                    "tok", bucket_cands, n_buckets).materialize()
     if cand.count() == 0:
         return pd.DataFrame({
             "contained_id": pd.Series([], dtype="int64"),

@@ -101,17 +101,6 @@ COMBINED_SCHEMA = pa.schema([
 _FIELD_RE = re.compile(r'<div class="param" data-field="([^"]+)">([^<]*)</div>')
 _IMG_RE = re.compile(r'<img class="gallery" src="([^"]+)"')
 _IMG_SRCSET_RE = re.compile(r'<img class="gallery"[^>]*srcset="([^"]+)"')
-def _find_script_block(html: str, open_tag: str) -> str | None:
-    """Literal-tag script extraction via str.find (memchr) — same
-    semantics as the `open_tag(.*?)</script>` DOTALL regex it replaces,
-    ~10× cheaper on 200 KB documents."""
-    i = html.find(open_tag)
-    if i < 0:
-        return None
-    j = html.find("</script>", i)
-    if j < 0:
-        return None
-    return html[i + len(open_tag):j]
 
 
 def _raw_decode_at(block: str, key: str):
@@ -244,22 +233,6 @@ def _banner_price_text(html: str) -> str | None:
             # an empty-text first node means no banner, not "keep looking"
             return m.group(1) if m.group(1).strip() else None
         pos = m.end()
-
-
-def _iter_script_blocks(html: str, open_tag: str):
-    """All literal-tag script blocks, document order (find-loop analogue
-    of ``findall`` with the same pattern)."""
-    pos = 0
-    n = len(open_tag)
-    while True:
-        i = html.find(open_tag, pos)
-        if i < 0:
-            return
-        j = html.find("</script>", i)
-        if j < 0:
-            return
-        yield html[i + n:j]
-        pos = j + 9
 
 
 def _iter_marker_scripts(html: str, marker: str):

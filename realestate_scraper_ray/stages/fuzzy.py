@@ -39,11 +39,11 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count
 
+from .exchange import exchange
 from .graph import _pairs_within_runs
 
 _B = np.uint64(1_000_003)          # odd -> invertible mod 2^64
 _SEED = np.uint64(1469598103934665603)
-_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _inv_u64(b: np.uint64) -> np.uint64:
@@ -206,8 +206,7 @@ def fuzzy_selfjoin_editdist(ds: rd.Dataset, id_col: str, str_col: str,
         strs = t[str_col].to_pylist()
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         rows, vh = _variant_hashes(strs, k)
-        b = ((vh * _MULT) >> np.uint64(40)).astype(np.int64) % n_buckets
-        return pa.table({"vh": vh.view(np.int64), "id": ids[rows], "b": b})
+        return pa.table({"vh": vh.view(np.int64), "id": ids[rows]})
 
     def pair_up(t: pa.Table) -> pa.Table:
         vh = t["vh"].to_numpy()
@@ -230,8 +229,8 @@ def fuzzy_selfjoin_editdist(ds: rd.Dataset, id_col: str, str_col: str,
     # set (5 s of a 17 s wall at sf0.1); duplicates carry identical
     # exact distances and collapse in the output-sized driver
     # drop_duplicates (the f4be768 set-sim-join precedent).
-    cand = (ds.map_batches(emit, batch_format="pyarrow")
-            .groupby("b").map_groups(pair_up, batch_format="pyarrow"))
+    cand = exchange(ds.map_batches(emit, batch_format="pyarrow"), "vh",
+                    pair_up, n_buckets)
 
     joined = _attach_strings(cand, ds, id_col, str_col,
                              num_partitions=num_partitions)

@@ -47,13 +47,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Min, Sum
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _h(x: np.ndarray) -> np.ndarray:
-    """Cheap 64-bit multiplicative mix to decorrelate bucket routing
-    from dense integer id ranges."""
-    return (x.astype(np.uint64) * _MIX) >> np.uint64(17)
+from .exchange import bucket_of, exchange
 
 
 def _undirect(edges: rd.Dataset, col_a: str, col_b: str) -> rd.Dataset:
@@ -79,8 +73,7 @@ def _salted_lookup(reqs: rd.Dataset, labels: rd.Dataset,
         k = t["key"].to_numpy()
         o = t["out"].to_numpy()
         return pd.DataFrame({
-            "b": (_h(k) % np.uint64(n_buckets)).astype(np.int32),
-            "s": (_h(o) % np.uint64(n_salts)).astype(np.int32),
+            "b": bucket_of(k, n_buckets), "s": bucket_of(o, n_salts),
             "k": k.astype(np.int64), "v": o.astype(np.int64),
             "side": np.int8(0)})
 
@@ -89,7 +82,7 @@ def _salted_lookup(reqs: rd.Dataset, labels: rd.Dataset,
         lab = t["label"].to_numpy()
         reps = n_salts
         return pd.DataFrame({
-            "b": np.tile((_h(n) % np.uint64(n_buckets)).astype(np.int32), reps),
+            "b": np.tile(bucket_of(n, n_buckets), reps),
             "s": np.repeat(np.arange(reps, dtype=np.int32), len(n)),
             "k": np.tile(n.astype(np.int64), reps),
             "v": np.tile(lab.astype(np.int64), reps),
@@ -337,17 +330,6 @@ def pagerank(edges: rd.Dataset, *, n_iter: int = 10,
     return ranks
 
 
-def _bucket_of(arr, n_buckets: int) -> np.ndarray:
-    """Deterministic vectorized bucket id for string or int node ids
-    (polars seeded hash — the split tasks and the driver-side node
-    bucketing must agree across processes)."""
-    import polars as pl
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    return (pl.from_arrow(arr).hash(seed=0) % n_buckets).to_numpy() \
-        .astype(np.int64)
-
-
 def _pagerank_driver(edges_d: rd.Dataset, nodes: rd.Dataset, *,
                      n_iter: int, damping_pct: int, base: int,
                      r0: int) -> rd.Dataset:
@@ -401,7 +383,7 @@ def _pagerank_broadcast(edges_d: rd.Dataset, nodes: rd.Dataset, *,
 
     @ray.remote
     def split(tbl: pa.Table, nb: int):
-        b = _bucket_of(tbl["dst"], nb)
+        b = bucket_of(tbl["dst"], nb)
         order = np.argsort(b, kind="stable")
         st = tbl.take(pa.array(order))
         cuts = np.searchsorted(b[order], np.arange(nb + 1))
@@ -445,7 +427,7 @@ def _pagerank_broadcast(edges_d: rd.Dataset, nodes: rd.Dataset, *,
                   for blk in edges_d.to_arrow_refs()]
     bucket_refs = [concat.remote(*[p[b] for p in piece_refs])
                    for b in range(nb)]
-    nbuck = _bucket_of(node_ids, nb)
+    nbuck = bucket_of(node_ids, nb)
     node_refs = [ray.put(node_ids.filter(pa.array(nbuck == b)))
                  for b in range(nb)]
 
@@ -500,8 +482,8 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
     with degree-ordered orientation:
 
       1. distinct edges: canonicalize (lo, hi), per-batch local dedup,
-         then ONE exchange keyed by an int32 hash bucket of the packed
-         edge key with a per-bucket dedup (no composite-key groupby).
+         then ONE ``exchange`` on the packed edge key with a
+         per-bucket dedup (no composite-key groupby).
       2. ADAPTIVE on the distinct-edge-key set size (8 bytes/edge, so
          the default 64 MiB cap ≈ 8M edges — same cap discipline as
          the components driver union-find):
@@ -519,8 +501,8 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
          edge u→v where rank=(d,id) of u is smaller — every forward
          adjacency is O(√2m), which bounds wedge volume at O(m^1.5)
          instead of O(Σd²) (the "last reducer" hub blowup); wedges
-         (bk, key, u) and edge keys (bk, key, u=-1) co-group on
-         bucket(key); one vectorized ``searchsorted`` per bucket.
+         (key, u) and edge keys (key, u=-1) share one ``exchange`` on
+         key; one vectorized ``searchsorted`` per bucket.
          Each triangle is found exactly once (the wedge from its
          min-rank vertex).
       3. credit: every triangle counts for all three vertices — the
@@ -540,17 +522,15 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
         key = np.unique(
             (lo.to_numpy(zero_copy_only=False).astype(np.int64) << _SH)
             | hi.to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({
-            "be": (_h(key) % np.uint64(n_buckets)).astype(np.int32),
-            "key": key})
+        return pa.table({"key": key})
 
-    def _bucket_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        key = np.unique(g["key"].to_numpy())
+    def _bucket_distinct(t: pa.Table) -> pd.DataFrame:
+        key = np.unique(t["key"].to_numpy())
         return pd.DataFrame({"a": key >> _SH, "b": key & _MASK})
 
-    e = (edges.map_batches(_dedup, batch_format="pyarrow")
-         .groupby("be").map_groups(_bucket_distinct, batch_format="pandas")
-         .materialize())  # read by both adaptive branches below
+    e = exchange(edges.map_batches(_dedup, batch_format="pyarrow"), "key",
+                 _bucket_distinct, n_buckets) \
+        .materialize()  # read by both adaptive branches below
 
     n_edges = e.count()
 
@@ -681,9 +661,7 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
             u = np.where(swap, b, a)
             v = np.where(swap, a, b)
             rkv = np.where(swap, rka, rkb)
-            return pa.table({
-                "u": u, "v": v, "rkv": rkv,
-                "bu": (_h(u) % np.uint64(n_buckets)).astype(np.int32)})
+            return pa.table({"u": u, "v": v, "rkv": rkv})
 
         oriented = eab.map_batches(_orient, batch_format="pyarrow") \
                       .materialize()
@@ -698,30 +676,19 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
             vv = g["v"].to_numpy()
             return g["u"].to_numpy()[fi], (vv[fi] << _SH) | vv[si]
 
-        def _wedges(g: pd.DataFrame) -> pd.DataFrame:
-            u, wkey = _wedge_keys(g)
-            return pd.DataFrame({
-                "bk": (_h(wkey) % np.uint64(n_buckets)).astype(np.int32),
-                "key": wkey, "u": u})
+        def _wedges(t: pa.Table) -> pd.DataFrame:
+            u, wkey = _wedge_keys(t.to_pandas())
+            return pd.DataFrame({"key": wkey, "u": u})
 
-        def _tag_edges(t: pa.Table) -> pd.DataFrame:
-            # pandas, matching the _wedges side: a union of mixed block
-            # types breaks downstream iteration
+        def _edge_keys(t: pa.Table) -> pa.Table:
             key = ((np.asarray(t["u"], dtype=np.int64) << _SH)
                    | np.asarray(t["v"], dtype=np.int64))
-            return pd.DataFrame({
-                "bk": (_h(key) % np.uint64(n_buckets)).astype(np.int32),
-                "key": key,
-                "u": np.full(len(key), -1, dtype=np.int64)})
+            return pa.table({
+                "key": key, "u": np.full(len(key), -1, dtype=np.int64)})
 
-        both = (oriented.groupby("bu")
-                .map_groups(_wedges, batch_format="pandas")
-                .union(oriented.map_batches(_tag_edges,
-                                            batch_format="pyarrow")))
-
-        def _close(g: pd.DataFrame) -> pd.DataFrame:
-            u = g["u"].to_numpy()
-            key = g["key"].to_numpy()
+        def _close(t: pa.Table) -> pd.DataFrame:
+            u = t["u"].to_numpy()
+            key = t["key"].to_numpy()
             is_edge = u == -1  # node ids are ≥0 by contract
             ks = np.sort(key[is_edge])
             wu, wk = u[~is_edge], key[~is_edge]
@@ -734,8 +701,10 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
                 return _EMPTY
             return _partial_credit(wu[hit], wk[hit])
 
-        partials = both.groupby("bk").map_groups(_close,
-                                                 batch_format="pandas")
+        partials = exchange(
+            [exchange(oriented, "u", _wedges, n_buckets),
+             oriented.map_batches(_edge_keys, batch_format="pyarrow")],
+            "key", _close, n_buckets)
 
     return (partials.map_batches(
                 lambda t: t if t.num_rows else pa.table(

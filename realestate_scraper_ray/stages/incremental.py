@@ -12,8 +12,8 @@ ONLY the buckets the delta's groups hash into:
   delta ids already applied (exactly-once: re-applying a delta id is a
   no-op, so a crashed-and-retried ingest never double-counts).
 - update path: per-batch combiners reduce the delta to partial rows
-  (one row per (block, group)), a bucket-key groupby co-locates each
-  bucket's partials with a `map_groups` task that reads the bucket's
+  (one row per (block, group)), one ``exchange`` on the int key
+  co-locates each bucket's partials with a task that reads the bucket's
   existing parquet, merges (sum), and commits atomically (tmp +
   rename). Deltas never see unrelated buckets; state reads never see
   half-written files.
@@ -40,14 +40,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..functions.sketches import splitmix64
-
-
-def _bucket_of(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Stable bucket id for int64 group keys (splitmix64 — pure
-    arithmetic, version-stable across library upgrades)."""
-    return (splitmix64(keys.astype(np.uint64))
-            % np.uint64(n_buckets)).astype(np.int64)
+from .exchange import bucket_of, exchange
 
 
 class IncrementalGroupSum:
@@ -94,18 +87,15 @@ class IncrementalGroupSum:
             self.state_dir, self.key_cols, self.int_key
         nb = self.n_buckets
 
-        def add_bucket(t: pa.Table) -> pa.Table:
-            b = _bucket_of(t[int_key].to_numpy(), nb)
-            return t.append_column("bucket", pa.array(b))
-
-        def merge_bucket(g):
+        def merge_bucket(t: pa.Table):
             import pandas as pd
-            bucket = int(g["bucket"].iloc[0])
+            g = t.to_pandas()
+            bucket = int(bucket_of(t[int_key][:1], nb)[0])
             bdir = os.path.join(state_dir, f"bucket={bucket:02d}")
             os.makedirs(bdir, exist_ok=True)
             path = os.path.join(bdir, "part.parquet")
             folded: list[str] = []
-            frames = [g.drop(columns=["bucket"])]
+            frames = [g]
             if os.path.exists(path):
                 prev = pq.read_table(path)
                 meta = prev.schema.metadata or {}
@@ -129,11 +119,9 @@ class IncrementalGroupSum:
             os.replace(tmp, path)
             return pd.DataFrame({"bucket": [bucket], "rows": [len(merged)]})
 
-        (delta.map_batches(partials_fn, batch_format="pyarrow")
-              .map_batches(add_bucket, batch_format="pyarrow")
-              .groupby("bucket")
-              .map_groups(merge_bucket, batch_format="pandas")
-              .materialize())  # drive the side-effecting writes
+        exchange(delta.map_batches(partials_fn, batch_format="pyarrow"),
+                 int_key, merge_bucket, nb) \
+            .materialize()  # drive the side-effecting writes
         self._record_delta(delta_id)
         return True
 
@@ -197,15 +185,14 @@ class IncrementalDedup:
             h = np.asarray(rolling_hash64(
                 t[text_col].combine_chunks())).view(np.int64)
             # per-batch keep-first pre-combiner
-            g = (pa.table({"h": h, "id": t[id_col]})
-                 .group_by("h").aggregate([("id", "min")])
-                 .rename_columns(["h", "id"]))
-            b = _bucket_of(g["h"].to_numpy(), nb)
-            return g.append_column("bucket", pa.array(b))
+            return (pa.table({"h": h, "id": t[id_col]})
+                    .group_by("h").aggregate([("id", "min")])
+                    .rename_columns(["h", "id"]))
 
-        def merge_bucket(g):
+        def merge_bucket(t: pa.Table):
             import pandas as pd
-            bucket = int(g["bucket"].iloc[0])
+            g = t.to_pandas()
+            bucket = int(bucket_of(t["h"][:1], nb)[0])
             path = bucket_path(bucket)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             cand = (g.groupby("h", as_index=False)["id"].min())
@@ -237,8 +224,6 @@ class IncrementalDedup:
                 new = seen.merge(cand, on=["h", "id"])
             return new[["id"]]
 
-        winners = (delta.map_batches(keys, batch_format="pyarrow")
-                   .groupby("bucket")
-                   .map_groups(merge_bucket, batch_format="pandas")
-                   .materialize())
+        winners = exchange(delta.map_batches(keys, batch_format="pyarrow"),
+                           "h", merge_bucket, nb).materialize()
         return semi_join(delta, winners, id_col, "id")

@@ -9,10 +9,10 @@ The engine's target substrate (BASELINE.json ``input_hint``, SURVEY.md
 
 This stage builds that nested column from flat per-span rows (one row
 per text fragment / media reference, e.g. the crawl's offers+photos
-tables, or any event stream): one coarse hash-bucket shuffle on
-``doc_col`` (a document never splits across buckets) → ``map_groups``
-sorts the whole bucket by (doc, order) once and list-aggregates every
-document of the bucket in a single vectorized boundary scan. The spans list lives inside a
+tables, or any event stream): one ``exchange`` on ``doc_col`` (a
+document never splits across buckets), whose fold sorts the whole
+bucket by (doc, order) once and list-aggregates every document of the
+bucket in a single vectorized boundary scan. The spans list lives inside a
 single row, so later shuffles can never reorder it (SURVEY.md §7.5
 "span ordering through shuffles") — assembly is the only place order
 must be enforced, and it is, by the explicit sort key.
@@ -33,6 +33,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from .exchange import exchange
 
 SPAN_TYPE = pa.struct([
     ("kind", pa.string()),
@@ -64,16 +66,8 @@ def assemble_spans(ds: rd.Dataset, doc_col: str, kind_col: str,
     call overhead dominates).  Per-bucket span rows are int32-offset
     bounded (2³¹); raise ``n_buckets`` long before that matters.
     """
-    import polars as pl
-
-    def add_bkt(t: pa.Table) -> pa.Table:
-        key = t[doc_col].combine_chunks()
-        b = (pl.from_arrow(key).hash(seed=0)
-             % np.uint64(n_buckets)).to_numpy().astype(np.int64)
-        return t.append_column("_bkt", pa.array(b))
-
     def build(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bkt"]).combine_chunks().sort_by(
+        g = g.combine_chunks().sort_by(
             [(doc_col, "ascending")]
             + [(c, "ascending") for c in order_cols])
         n = g.num_rows
@@ -97,8 +91,7 @@ def assemble_spans(ds: rd.Dataset, doc_col: str, kind_col: str,
         return pa.table({doc_col: d.take(pa.array(starts)),
                          "spans": spans})
 
-    return (ds.map_batches(add_bkt, batch_format="pyarrow")
-            .groupby("_bkt").map_groups(build, batch_format="pyarrow"))
+    return exchange(ds, doc_col, build, n_buckets)
 
 
 def span_fingerprints(docs: rd.Dataset, doc_col: str) -> rd.Dataset:

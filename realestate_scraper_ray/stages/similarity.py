@@ -19,6 +19,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .exchange import exchange
+
 
 def _norm_rows(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
@@ -44,14 +46,6 @@ def _final_topk(cand: rd.Dataset, k: int) -> pd.DataFrame:
                 .group_by("query_id", maintain_order=True).head(k)
                 .to_arrow())
 
-    def add_bkt(t: pa.Table) -> pa.Table:
-        b = (pl.from_arrow(t["query_id"].combine_chunks()).hash(seed=0)
-             % 32).to_numpy().astype(np.int64)
-        return t.append_column("_b", pa.array(b))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return combine(t.drop_columns(["_b"]))
-
     combined = cand.map_batches(combine, batch_format="pyarrow").materialize()
     if combined.count() <= (1 << 18):
         # adaptive small side: the per-block combine already bounded the
@@ -62,8 +56,7 @@ def _final_topk(cand: rd.Dataset, k: int) -> pd.DataFrame:
         # bit-identical.
         reduced = combined
     else:
-        reduced = (combined.map_batches(add_bkt, batch_format="pyarrow")
-                   .groupby("_b").map_groups(finish, batch_format="pyarrow"))
+        reduced = exchange(combined, "query_id", combine, 32)
     out = pa.Table.from_pylist(reduced.take_all()).to_pandas()
     if out.empty:
         return pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})

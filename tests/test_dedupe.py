@@ -484,3 +484,30 @@ def test_containment_pairs_planted(ray_session):
     # the jaccard of (1,2) is below 0.5 — symmetric ops would miss it
     j = len(np.intersect1d(hs[1], hs[2])) / len(np.union1d(hs[1], hs[2]))
     assert j < 0.5
+
+
+def test_containment_pairs_rejects_ids_outside_31_bits(ray_session):
+    """Pair keys pack two ids into one int64: an id that is negative
+    or ≥ 2³¹ would alias another pair, so it raises instead; the
+    largest valid id and an empty input are accepted."""
+    import pyarrow as pa
+    import pytest
+    import ray.data as rd
+
+    from realestate_scraper_ray.stages.dedupe import containment_pairs
+
+    text = "alpha beta gamma delta epsilon zeta"
+    for bad in (-1, 1 << 31):
+        ds = rd.from_arrow(pa.table({"doc_id": [0, bad],
+                                     "text": [text, text]}))
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            containment_pairs(ds, "text", "doc_id")
+    top = (1 << 31) - 1
+    ok = containment_pairs(rd.from_arrow(pa.table(
+        {"doc_id": [0, top], "text": [text, text]})), "text", "doc_id")
+    assert set(zip(ok["contained_id"], ok["container_id"])) == {
+        (0, top), (top, 0)}
+    empty = containment_pairs(rd.from_arrow(pa.table(
+        {"doc_id": pa.array([], pa.int64()),
+         "text": pa.array([], pa.string())})), "text", "doc_id")
+    assert len(empty) == 0

@@ -99,9 +99,9 @@ def test_untouched_buckets_not_rewritten(ray_session, tmp_path):
         os.path.join(st.state_dir, b, "part.parquet")
         for b in os.listdir(st.state_dir) if b.startswith("bucket="))
     assert len(paths) > 2
-    from realestate_scraper_ray.stages.incremental import _bucket_of
+    from realestate_scraper_ray.stages.exchange import bucket_of
     one_key = np.int64(7)
-    target = int(_bucket_of(np.array([one_key]), 8)[0])
+    target = int(bucket_of(np.array([one_key]), 8)[0])
     stamps = {p: os.stat(p).st_mtime_ns for p in paths}
     narrow = pa.table({"k": np.array([one_key] * 10),
                        "grp": ["x"] * 10,

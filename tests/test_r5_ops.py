@@ -89,6 +89,36 @@ def test_cdc_apply_tie_break_and_delete(ray_session):
     assert all(src[k] == "upsert" for k in ups["user_id"])
 
 
+def test_cdc_apply_rounds_half_away_from_zero(ray_session, tmp_path):
+    """value×100 landing exactly on .5 rounds like DuckDB's ROUND (half
+    away from zero, not half to even) on the changelog and the base
+    side alike."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from realestate_scraper_ray.pipelines import relational as R
+    ts = np.full(4, np.datetime64("2024-01-01T00:00:00", "us"))
+    pq.write_table(pa.table({
+        "event_id": [1, 2, 3, 4], "ts": ts, "user_id": [1, 2, 3, 4],
+        "event_type": ["view"] * 4,
+        "value": [0.125, -0.125, 0.375, -0.625]}),
+        tmp_path / "events.parquet")
+    pq.write_table(pa.table({"c_custkey": [1, 5, 6],
+                             "c_acctbal": [9.0, 1.125, -2.375]}),
+                   tmp_path / "customer.parquet")
+    got = R.events_cdc_apply(str(tmp_path))
+    con = duckdb.connect()
+    for t in ("events", "customer"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
+                f"'{tmp_path}/{t}.parquet'")
+    exp = con.sql(R.ORACLE["events_cdc_apply"]).df()
+    assert got["key"].tolist() == exp["key"].tolist() == [1, 2, 3, 4, 5, 6]
+    assert got["value_cents"].tolist() == exp["value_cents"].tolist() \
+        == [13, -13, 38, -63, 113, -238]
+    assert got["src"].tolist() == exp["src"].tolist()
+
+
 def test_cusum_closed_form_equals_recursion():
     """S_t = R_t - min(0, running_min(R)) == the textbook recursion
     S_t = max(0, S_{t-1} + (x_t - k)) on random integer series."""

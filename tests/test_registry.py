@@ -99,3 +99,22 @@ def test_crawlverify_mismatch_counting():
     d = a.copy()
     d["f"] = d["f"] * 1.01  # outside tolerance
     assert _mismatches(a, d, ["k"], None) == 3
+
+
+def test_crawlverify_missing_column_is_a_mismatch():
+    """A compared column absent from either frame fails the comparison
+    instead of silently dropping out of it."""
+    import pandas as pd
+    import pytest
+
+    from realestate_scraper_ray.pipelines.crawlverify import (
+        CrawlVerificationError, _mismatches, comparison, finish)
+
+    a = pd.DataFrame({"k": [1, 2, 3], "v": ["x", "y", "z"]})
+    no_v = a[["k"]]
+    assert _mismatches(a, no_v, ["k"], ["k", "v"]) == 3
+    assert _mismatches(no_v, a, ["k"], ["k", "v"]) == 3
+    assert _mismatches(a, no_v, ["k"], None) == 3
+    assert _mismatches(a.iloc[:0], no_v.iloc[:0], ["k"], ["k", "v"]) == 1
+    with pytest.raises(CrawlVerificationError, match="3 mismatches"):
+        finish("q", [comparison("t", a, no_v, ["k"], ["k", "v"])])

@@ -75,3 +75,19 @@ def test_admission_dedups(run):
     assert res.n_admitted == res.n_entries
     u = res.urls["offer_url"].to_pylist()
     assert len(u) == len(set(u))
+
+
+def test_nothing_admitted_keeps_typed_urls_schema(ray_session):
+    """A recency cutoff no sitemap entry passes admits nothing; the
+    urls table is still the typed six-column schema, zero rows."""
+    import pyarrow as pa
+    cfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
+                      fetch_batch_size=64, last_days=-100_000)
+    res = sitemap_crawl(PCFG, cfg)
+    assert res.n_admitted == 0 and res.urls.num_rows == 0
+    assert res.urls.column_names == ["offer_url", "offer_id", "page_idx",
+                                     "source", "region", "pos"]
+    assert res.urls.schema.field("pos").type == pa.int64()
+    assert res.urls.schema.field("page_idx").type == pa.int64()
+    assert pa.types.is_string(res.urls.schema.field("offer_url").type)
+    assert not sitemap_crawl_oracle(Portal(PCFG), cfg).urls
