@@ -218,7 +218,6 @@ class CrawlConfig:
     # URL-seen service
     urlseen_shards: int = 8
     urlseen_capacity: int = 1 << 17     # keys per shard (test scale)
-    fingerprint_bits: int = 32          # 32-bit fp → FP rate ~2e-9 (exactness)
     # fetch stage sizing; fetch_concurrency caps concurrent fetch tasks
     # (None = let the streaming executor use every available slot)
     fetch_batch_size: int = 256

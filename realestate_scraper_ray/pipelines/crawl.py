@@ -57,16 +57,19 @@ import numpy as np
 
 from ..config import CrawlConfig, PortalConfig
 from ..functions.urls import extract_offer_ids, host_of
+from ..schemas import FRONTIER, URLS
 from ..sources.synth_portal import Portal
-from ..stages.fetch import make_fetch_fn
+from ..stages.fetch import COMBINED_SCHEMA, make_fetch_fn
 from ..state.politeness import PolitenessService
 from ..state.urlseen import UrlSeenService
 
-FRONTIER_COLS = ["url", "kind", "priority", "source", "region", "page_idx", "pos"]
-FRONTIER_SCHEMA = pa.schema([
-    ("url", pa.string()), ("kind", pa.string()), ("priority", pa.int32()),
-    ("source", pa.string()), ("region", pa.string()),
-    ("page_idx", pa.int32()), ("pos", pa.int32())])
+FRONTIER_COLS = FRONTIER.names
+# the per-generation output tables (workdir/<table>/gen-<G>/part-*.parquet)
+# a wave writes besides the next frontier; replace-on-retry clears them all
+GEN_TABLES = ("offers", "photos", "media", "quarantine", "trapped",
+              "validators")
+# the revisit's carried 304 rows: one named generation after the numbered ones
+CARRY_GEN = "zcarry"
 # the reference's wide 20-col offer schema (storage.py:13-20 + the
 # posted_at/updated_at datetimes from the pydantic model,
 # validate.py:9-50) plus the engine's order keys
@@ -78,6 +81,12 @@ OFFER_OUT_COLS = ["offer_id", "source", "url", "price_amount", "price_currency",
                   "first_seen", "last_seen",
                   "region", "page_idx", "pos"]
 PHOTO_OUT_COLS = ["offer_id", "seq", "url"]
+# zero-row results keep the column types the fragments are written with
+OUT_SCHEMAS = {
+    "urls": URLS,
+    "offers": pa.schema([COMBINED_SCHEMA.field(c) for c in OFFER_OUT_COLS]),
+    "photos": pa.schema([COMBINED_SCHEMA.field(c) for c in PHOTO_OUT_COLS]),
+}
 
 _SUMMARY_SCHEMA = pa.schema([
     # meta_count | offer_count | pag_meta | pag_link | inv_next | new_detail
@@ -116,39 +125,19 @@ class CrawlResult:
     source_order: tuple[str, ...] = ()
     region_order: tuple[str, ...] = ()
 
-    def _read_gen_dirs(self, name: str) -> pa.Table | None:
-        root = os.path.join(self.workdir, name)
-        parts = []
-        if os.path.isdir(root):
-            for gen in sorted(os.listdir(root)):
-                d = os.path.join(root, gen)
-                if not os.path.isdir(d):
-                    continue  # e.g. validators/meta.json
-                for f in sorted(os.listdir(d)):
-                    if f.endswith(".parquet"):
-                        parts.append(pq.read_table(os.path.join(d, f)))
-        return pa.concat_tables(parts, promote_options="default") if parts else None
-
-    def _limited_urlset(self) -> set[str] | None:
-        if self.limit_offers is None:
+    def _keep_set(self, name: str) -> tuple[str, pa.Array] | None:
+        """``limit_offers`` as (column, values to keep) for ``name``:
+        offers keep the first N detail URLs in crawl order, photos and
+        media keep the kept offers' ids; None when nothing is cut."""
+        if self.limit_offers is None or name not in ("offers", "photos", "media"):
             return None
+        if name != "offers":
+            return "offer_id", self.table("offers")["offer_id"].combine_chunks()
         u = self.table("urls").to_pandas()
         u["_s"] = u["source"].map({s: i for i, s in enumerate(self.source_order)})
         u["_r"] = u["region"].map({r: i for i, r in enumerate(self.region_order)})
         u = u.sort_values(["_s", "_r", "page_idx", "pos"], kind="stable")
-        return set(u["offer_url"].head(self.limit_offers))
-
-    def _gen_files(self, name: str) -> list[str]:
-        root = os.path.join(self.workdir, name)
-        out: list[str] = []
-        if os.path.isdir(root):
-            for gen in sorted(os.listdir(root)):
-                d = os.path.join(root, gen)
-                if not os.path.isdir(d):
-                    continue  # e.g. validators/meta.json
-                out.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                           if f.endswith(".parquet"))
-        return out
+        return "url", pa.array(u["offer_url"].head(self.limit_offers), pa.string())
 
     def dataset(self, name: str) -> "rd.Dataset":
         """Streaming reader over the crawl output: a ``ray.data.Dataset``
@@ -158,67 +147,53 @@ class CrawlResult:
         from the frontier's detail rows per batch; ``limit_offers`` is
         applied as a broadcast keep-set filter (the set is ≤ limit rows
         by construction, so broadcasting it is bounded)."""
-        if name == "urls":
-            files = self._gen_files("frontier")
-            if not files:
-                return rd.from_arrow(pa.table({}))
-
-            def derive(t: pa.Table) -> pa.Table:
-                d = t.filter(pc.equal(t["kind"], "detail"))
-                return pa.table({
-                    "offer_url": d["url"],
-                    "offer_id": extract_offer_ids(d["url"].combine_chunks()),
-                    "page_idx": d["page_idx"], "source": d["source"],
-                    "region": d["region"], "pos": d["pos"]})
-
-            return rd.read_parquet(files).map_batches(derive, batch_format="pyarrow")
-        files = self._gen_files(name)
+        files = gen_files(os.path.join(
+            self.workdir, "frontier" if name == "urls" else name))
         if not files:
-            return rd.from_arrow(pa.table({}))
+            return rd.from_arrow(_empty(name))
         ds = rd.read_parquet(files)
-        keep = self._limited_urlset()
+        if name == "urls":
+            return ds.map_batches(urls_of, batch_format="pyarrow")
+        keep = self._keep_set(name)
         if keep is not None:
-            import ray as _ray
-            if name == "offers":
-                keep_ref = _ray.put(pa.array(sorted(keep)))
-
-                def lim(t: pa.Table) -> pa.Table:
-                    return t.filter(pc.is_in(t["url"], value_set=_ray.get(keep_ref)))
-
-                ds = ds.map_batches(lim, batch_format="pyarrow")
-            elif name in ("photos", "media"):
-                kept = self.table("offers")["offer_id"].combine_chunks()
-                kept_ref = _ray.put(kept)
-
-                def lim_p(t: pa.Table) -> pa.Table:
-                    return t.filter(pc.is_in(t["offer_id"], value_set=_ray.get(kept_ref)))
-
-                ds = ds.map_batches(lim_p, batch_format="pyarrow")
+            col, ref = keep[0], ray.put(keep[1])
+            ds = ds.map_batches(lambda t: _keep_rows(t, col, ray.get(ref)),
+                                batch_format="pyarrow")
         return ds
 
     def table(self, name: str) -> pa.Table:
-        """Read an output table: 'offers', 'photos', or the derived 'urls'."""
+        """Read an output table: 'offers', 'photos', or the derived 'urls'.
+        With no fragments these three are zero-row tables of their real
+        column types."""
         if name == "urls":
-            fr = self._read_gen_dirs("frontier")
-            if fr is None:
-                return pa.table({})
-            d = fr.filter(pc.equal(fr["kind"], "detail"))
-            return pa.table({
-                "offer_url": d["url"],
-                "offer_id": extract_offer_ids(d["url"].combine_chunks()),
-                "page_idx": d["page_idx"], "source": d["source"],
-                "region": d["region"], "pos": d["pos"]})
-        t = self._read_gen_dirs(name)
+            return urls_of(read_fragments(os.path.join(self.workdir, "frontier")))
+        t = read_fragments(os.path.join(self.workdir, name))
         if t is None:
-            return pa.table({})
-        keep = self._limited_urlset()
-        if keep is not None:
-            if name == "offers":
-                t = t.filter(pc.is_in(t["url"], value_set=pa.array(list(keep))))
-            elif name in ("photos", "media"):
-                kept_offers = self.table("offers")["offer_id"]
-                t = t.filter(pc.is_in(t["offer_id"], value_set=kept_offers.combine_chunks()))
-        return t
+            return _empty(name)
+        keep = self._keep_set(name)
+        return t if keep is None else _keep_rows(t, *keep)
+
+
+def _empty(name: str) -> pa.Table:
+    return OUT_SCHEMAS.get(name, pa.schema([])).empty_table()
+
+
+def _keep_rows(t: pa.Table, col: str, keep: pa.Array) -> pa.Table:
+    """The one ``limit_offers`` filter: rows whose ``col`` is in ``keep``."""
+    return t.filter(pc.is_in(t[col], value_set=keep))
+
+
+def urls_of(frontier: pa.Table | None, kind: str = "detail") -> pa.Table:
+    """The golden ``urls`` table (``schemas.URLS``) from frontier rows:
+    one row per discovered offer page, i.e. per row of ``kind``."""
+    if frontier is None or frontier.num_rows == 0:
+        return URLS.empty_table()
+    d = frontier.filter(pc.equal(frontier["kind"], kind))
+    return pa.table({
+        "offer_url": d["url"],
+        "offer_id": extract_offer_ids(d["url"].combine_chunks()),
+        "page_idx": d["page_idx"], "source": d["source"],
+        "region": d["region"], "pos": d["pos"]}).cast(URLS)
 
 
 def _filter_kind(t: pa.Table, kind: str) -> pa.Table:
@@ -306,6 +281,38 @@ def _write_fragment(table: pa.Table, dirpath: str,
     os.replace(tmp, os.path.join(dirpath, f"part-{name}.parquet"))
 
 
+def gen_dir(workdir: str, table: str, gen: int | str) -> str:
+    """Where generation ``gen`` of ``table`` writes its fragments."""
+    return os.path.join(workdir, table, f"gen-{gen}")
+
+
+def _gen_dirs(root: str) -> list[tuple[str, str]]:
+    """``(suffix, path)`` of each ``gen-*`` directory under ``root`` in
+    generation order: numbered generations as numbers (gen-2 before
+    gen-10), then named ones (gen-zcarry). In-flight ``.tmp-gen-*``
+    renames and plain files (validators/meta.json) are skipped."""
+    if not os.path.isdir(root):
+        return []
+    found = [(d[4:], os.path.join(root, d)) for d in os.listdir(root)
+             if d.startswith("gen-") and os.path.isdir(os.path.join(root, d))]
+    return sorted(found, key=lambda g: (0, int(g[0]), "") if g[0].isdigit()
+                  else (1, 0, g[0]))
+
+
+def gen_files(root: str) -> list[str]:
+    """The parquet fragments of one output table
+    (``root/gen-*/part-*.parquet``), in generation then name order —
+    the only lister of that layout."""
+    return [os.path.join(d, f) for _, d in _gen_dirs(root)
+            for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+
+
+def read_fragments(root: str) -> pa.Table | None:
+    """All fragments under ``root`` as one table; None when there are none."""
+    parts = [pq.read_table(f) for f in gen_files(root)]
+    return pa.concat_tables(parts, promote_options="default") if parts else None
+
+
 def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
                  politeness: PolitenessService, urlseen: UrlSeenService,
                  workdir: str, gen: int, run_token: str = ""):
@@ -316,20 +323,14 @@ def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
     Data execution per wave instead of five — at small wave sizes the
     crawl is otherwise dominated by execution-launch overhead."""
     fetch = make_fetch_fn(portal_cfg, cfg, politeness, run_token)
-    offers_dir = os.path.join(workdir, "offers", f"gen-{gen}")
-    photos_dir = os.path.join(workdir, "photos", f"gen-{gen}")
-    media_dir = os.path.join(workdir, "media", f"gen-{gen}")
+    dirs = {name: gen_dir(workdir, name, gen) for name in GEN_TABLES}
     next_dir = _frontier_dir(workdir, gen + 1)
-
-    quarantine_dir = os.path.join(workdir, "quarantine", f"gen-{gen}")
-    trapped_dir = os.path.join(workdir, "trapped", f"gen-{gen}")
-    validators_dir = os.path.join(workdir, "validators", f"gen-{gen}")
 
     def wave(batch: pa.Table) -> pa.Table:
         t = fetch(batch)
-        _write_fragment(_filter_kind(t, "offer").select(OFFER_OUT_COLS), offers_dir)
+        _write_fragment(_filter_kind(t, "offer").select(OFFER_OUT_COLS), dirs["offers"])
         photos = _filter_kind(t, "photo")
-        _write_fragment(photos.select(PHOTO_OUT_COLS), photos_dir)
+        _write_fragment(photos.select(PHOTO_OUT_COLS), dirs["photos"])
         if cfg.media_fetch and photos.num_rows:
             # media download in the same task that parsed the photo
             # spans: payload bytes are fetched, sniffed and hashed here
@@ -340,7 +341,7 @@ def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
                 media_download_rows(
                     photos.select(["offer_id", "seq", "url", "source"]),
                     portal.photo_bytes, head_mime=portal.photo_head_mime),
-                media_dir)
+                dirs["media"])
         # validator state (cfg.validators): every detail pagemeta row
         # carrying an etag — parsed pages AND 304s (so revisit chains
         # A→B→C keep propagating validators without re-parsing).
@@ -361,7 +362,7 @@ def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
                 bounds = np.r_[starts, len(vbs)]
                 for j in range(len(starts)):
                     off, end = int(bounds[j]), int(bounds[j + 1])
-                    _write_fragment(vt.slice(off, end - off), validators_dir,
+                    _write_fragment(vt.slice(off, end - off), dirs["validators"],
                                     prefix=f"b{int(vbs[off]):04d}-")
         # quarantine: failed fetches persisted per generation — the
         # debug-sink analogue (detail.py:241-247) and the audit trail
@@ -371,7 +372,7 @@ def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
             meta.filter(pc.equal(meta["status"], "fetch_fail"))
             .select(["url", "source", "region", "page_idx", "pos",
                      "fetch_kind"]),
-            quarantine_dir)
+            dirs["quarantine"])
         # trap-guard audit trail: links rejected by the URL-shape caps
         # (stages/fetch.py trap_like), persisted per generation like
         # quarantine — never admitted to the frontier or URL-seen set
@@ -379,12 +380,12 @@ def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
             _links_of(t, ["trapped"]).select(
                 ["url", "source", "region", "page_idx", "pos",
                  "fetch_kind"]),
-            trapped_dir)
+            dirs["trapped"])
         cand = _links_of(t, ["detail", "investment"])
         if cand.num_rows:
             mask = urlseen.filter_new(cand["url"].combine_chunks())
             cand = cand.filter(pa.array(mask))
-        front = cand.select(FRONTIER_COLS).cast(FRONTIER_SCHEMA)
+        front = cand.select(FRONTIER_COLS).cast(FRONTIER)
         inv = pc.equal(front["kind"], "investment")
         _write_fragment(front.filter(inv), next_dir,
                         row_group_size=cfg.fetch_batch_size, prefix="p1-")
@@ -453,7 +454,7 @@ def _summarize_batch(t: pa.Table, new_links: pa.Table) -> pa.Table:
 
 
 def _frontier_dir(workdir: str, gen: int) -> str:
-    return os.path.join(workdir, "frontier", f"gen-{gen}")
+    return gen_dir(workdir, "frontier", gen)
 
 
 def _frontier_rows(workdir: str, gen: int) -> int:
@@ -484,7 +485,7 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
     offers converge to what an unfailed run produces."""
     portal = Portal(portal_cfg)
     cfg = crawl_cfg
-    urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity, cfg.fingerprint_bits)
+    urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity)
     politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
                                    cfg.politeness_burst,
                                    cfg.backoff_factor,
@@ -517,8 +518,7 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
                            workdir)
     else:
         _check_validator_source(cfg)
-        for name in ("offers", "photos", "media", "quarantine", "trapped",
-                     "validators", "frontier", "checkpoint"):
+        for name in GEN_TABLES + ("frontier", "checkpoint"):
             shutil.rmtree(os.path.join(workdir, name), ignore_errors=True)
         os.makedirs(workdir, exist_ok=True)
         if cfg.validators_from:
@@ -622,30 +622,26 @@ def _carry_not_modified(workdir: str, prior_workdir: str) -> None:
     # replace-on-rerun: a completed revisit that runs again must not
     # append a second carry generation
     for name in ("offers", "photos", "media"):
-        shutil.rmtree(os.path.join(workdir, name, "gen-zcarry"),
-                      ignore_errors=True)
-    vres = CrawlResult(workdir=workdir, generations=0)
-    v = vres._read_gen_dirs("validators")
+        shutil.rmtree(gen_dir(workdir, name, CARRY_GEN), ignore_errors=True)
+    v = read_fragments(os.path.join(workdir, "validators"))
     if v is None:
         return
     nm = v.filter(pc.equal(v["status"], "not_modified"))
     if nm.num_rows == 0:
         return
     urls = nm["url"].combine_chunks()
-    prior = CrawlResult(workdir=prior_workdir, generations=0)
-    po = prior._read_gen_dirs("offers")
+    po = read_fragments(os.path.join(prior_workdir, "offers"))
     if po is not None:
         carried = po.filter(pc.is_in(po["url"], value_set=urls))
-        _write_fragment(carried,
-                        os.path.join(workdir, "offers", "gen-zcarry"))
+        _write_fragment(carried, gen_dir(workdir, "offers", CARRY_GEN))
         if carried.num_rows:
             kept = carried["offer_id"].combine_chunks()
             for name in ("photos", "media"):  # media: downloaded payloads
-                pt = prior._read_gen_dirs(name)
+                pt = read_fragments(os.path.join(prior_workdir, name))
                 if pt is not None:
                     _write_fragment(
                         pt.filter(pc.is_in(pt["offer_id"], value_set=kept)),
-                        os.path.join(workdir, name, "gen-zcarry"))
+                        gen_dir(workdir, name, CARRY_GEN))
 
 
 def _seed_table(portal: Portal, cfg: CrawlConfig) -> pa.Table:
@@ -653,7 +649,7 @@ def _seed_table(portal: Portal, cfg: CrawlConfig) -> pa.Table:
         [{"url": s["url"], "kind": "pagination", "priority": 0, "source": s["source"],
           "region": s["region"], "page_idx": 1, "pos": 0}
          for s in portal.seeds(cfg.last_days)],
-        schema=FRONTIER_SCHEMA)
+        schema=FRONTIER)
 
 
 def _append_retry_rows(portal: Portal, state: dict, fdir: str,
@@ -684,7 +680,7 @@ def _append_retry_rows(portal: Portal, state: dict, fdir: str,
             st.stop_reason = ""
     if rows:
         os.makedirs(fdir, exist_ok=True)
-        pq.write_table(pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA),
+        pq.write_table(pa.Table.from_pylist(rows, schema=FRONTIER),
                        os.path.join(fdir, "part-p0-retry.parquet"),
                        row_group_size=8)
     if workdir is None:
@@ -706,7 +702,7 @@ def _append_retry_rows(portal: Portal, state: dict, fdir: str,
             "priority": pa.array(np.full(sel.num_rows, prio, np.int32)),
             "source": sel["source"], "region": sel["region"],
             "page_idx": sel["page_idx"], "pos": sel["pos"],
-        }).cast(FRONTIER_SCHEMA)
+        }).cast(FRONTIER)
         pq.write_table(t, os.path.join(fdir, name),
                        row_group_size=cfg.fetch_batch_size)
 
@@ -717,15 +713,7 @@ def _pending_quarantined_offer_pages(workdir: str) -> pa.Table | None:
     ``pc.is_in`` probe — the driver only ever holds the quarantine-
     sized URL set (operationally small: it is the set of FAILED
     fetches), never the offers table."""
-    qdir = os.path.join(workdir, "quarantine")
-    if not os.path.isdir(qdir):
-        return None
-    qfiles = []
-    for d in sorted(os.listdir(qdir)):
-        gd = os.path.join(qdir, d)
-        if d.startswith("gen-") and os.path.isdir(gd):
-            qfiles += [os.path.join(gd, f) for f in sorted(os.listdir(gd))
-                       if f.endswith(".parquet")]
+    qfiles = gen_files(os.path.join(workdir, "quarantine"))
     if not qfiles:
         return None
     parts = []
@@ -745,14 +733,7 @@ def _pending_quarantined_offer_pages(workdir: str) -> pa.Table | None:
     df = q.to_pandas().drop_duplicates(subset=["url"], keep="first")
     q = pa.Table.from_pandas(df, preserve_index=False)
     det_urls = q.filter(pc.equal(q["fetch_kind"], "detail"))["url"]
-    odir = os.path.join(workdir, "offers")
-    ofiles = []
-    if os.path.isdir(odir):
-        for d in sorted(os.listdir(odir)):
-            gd = os.path.join(odir, d)
-            if d.startswith("gen-") and os.path.isdir(gd):
-                ofiles += [os.path.join(gd, f) for f in sorted(os.listdir(gd))
-                           if f.endswith(".parquet")]
+    ofiles = gen_files(os.path.join(workdir, "offers"))
     if not ofiles or not len(det_urls):
         return q
     ref = ray.put(det_urls.combine_chunks())
@@ -775,11 +756,9 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
               state: dict, run_token: str = "") -> None:
     # replace-on-retry: this wave's outputs are recreated from scratch
     next_dir = _frontier_dir(workdir, gen + 1)
-    for d in (os.path.join(workdir, "offers", f"gen-{gen}"),
-              os.path.join(workdir, "photos", f"gen-{gen}"),
-              os.path.join(workdir, "media", f"gen-{gen}"),
-              os.path.join(workdir, "quarantine", f"gen-{gen}"), next_dir):
-        shutil.rmtree(d, ignore_errors=True)
+    for name in GEN_TABLES:
+        shutil.rmtree(gen_dir(workdir, name, gen), ignore_errors=True)
+    shutil.rmtree(next_dir, ignore_errors=True)
 
     # frontier windowing: split the generation's fragment files into
     # bounded sub-windows (file-granular; priority order preserved by
@@ -917,7 +896,7 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
         # granularity, so one big group would serialize every region's
         # pagination fetch into a single task each wave (the same
         # reason the gen-0 seed file uses row groups of 8)
-        pq.write_table(pa.Table.from_pylist(next_rows, schema=FRONTIER_SCHEMA),
+        pq.write_table(pa.Table.from_pylist(next_rows, schema=FRONTIER),
                        os.path.join(next_dir, "part-p0-driver.parquet"),
                        row_group_size=8)
 
@@ -958,25 +937,20 @@ def _write_checkpoint(workdir: str, gen: int, state: dict,
     for i, blob in enumerate(blobs):
         with open(os.path.join(tmp, sub, f"shard_{i}.bin"), "wb") as f:
             f.write(blob)
-    final = os.path.join(root, f"gen-{gen}")
+    final = gen_dir(workdir, "checkpoint", gen)
     shutil.rmtree(final, ignore_errors=True)
     os.replace(tmp, final)  # atomic commit: wave `gen` is durably done
-    gens = sorted(int(d.split("-", 1)[1]) for d in os.listdir(root)
-                  if d.startswith("gen-"))
-    fulls = [g for g in gens
-             if os.path.isdir(os.path.join(root, f"gen-{g}", "filters"))]
+    gens = [(int(g), d) for g, d in _gen_dirs(root)]
+    fulls = [g for g, d in gens if os.path.isdir(os.path.join(d, "filters"))]
     if len(fulls) >= 2:
-        for g in gens:
+        for g, d in gens:
             if g < fulls[-2]:
-                shutil.rmtree(os.path.join(root, f"gen-{g}"), ignore_errors=True)
+                shutil.rmtree(d, ignore_errors=True)
 
 
 def latest_checkpoint_gen(workdir: str) -> int | None:
-    root = os.path.join(workdir, "checkpoint")
-    if not os.path.isdir(root):
-        return None
-    gens = [int(d.split("-", 1)[1]) for d in os.listdir(root) if d.startswith("gen-")]
-    return max(gens) if gens else None
+    gens = _gen_dirs(os.path.join(workdir, "checkpoint"))
+    return int(gens[-1][0]) if gens else None
 
 
 def _read_shard_blobs(d: str) -> list[bytes]:
@@ -993,28 +967,25 @@ def _restore_checkpoint(workdir: str, state: dict, urlseen: UrlSeenService,
     if last is None:
         raise FileNotFoundError(f"no checkpoint under {workdir}")
     root = os.path.join(workdir, "checkpoint")
-    with open(os.path.join(root, f"gen-{last}", "state.json")) as f:
+    with open(os.path.join(gen_dir(workdir, "checkpoint", last), "state.json")) as f:
         payload = json.load(f)
     for key, st in payload["regions"].items():
         s, r = key.split("|")
         state[(s, r)] = RegionState(**st)
-    pol_path = os.path.join(root, f"gen-{last}", "politeness.json")
+    pol_path = os.path.join(gen_dir(workdir, "checkpoint", last), "politeness.json")
     if politeness is not None and os.path.exists(pol_path):
         with open(pol_path) as f:
             politeness.restore_headroom(json.load(f))
     # filter state: newest full dump ≤ last, then replay delta chain
-    gens = sorted(int(d.split("-", 1)[1]) for d in os.listdir(root)
-                  if d.startswith("gen-") and int(d.split("-", 1)[1]) <= last)
-    fulls = [g for g in gens
-             if os.path.isdir(os.path.join(root, f"gen-{g}", "filters"))]
+    gens = [(int(g), d) for g, d in _gen_dirs(root) if int(g) <= last]
+    fulls = [(g, d) for g, d in gens if os.path.isdir(os.path.join(d, "filters"))]
     if not fulls:
         raise FileNotFoundError(f"no full filter checkpoint under {root}")
-    base = fulls[-1]
-    urlseen.restore(_read_shard_blobs(os.path.join(root, f"gen-{base}", "filters")))
-    for g in gens:
-        if g > base and os.path.isdir(os.path.join(root, f"gen-{g}", "deltas")):
-            urlseen.apply_deltas(
-                _read_shard_blobs(os.path.join(root, f"gen-{g}", "deltas")))
+    base, base_dir = fulls[-1]
+    urlseen.restore(_read_shard_blobs(os.path.join(base_dir, "filters")))
+    for g, d in gens:
+        if g > base and os.path.isdir(os.path.join(d, "deltas")):
+            urlseen.apply_deltas(_read_shard_blobs(os.path.join(d, "deltas")))
     return last + 1
 
 
@@ -1022,19 +993,11 @@ def _clean_partial(workdir: str, resume_gen: int) -> None:
     """Idempotent resume: wave `resume_gen` re-runs from scratch, so its
     (possibly partial) outputs and any partially-written next frontier
     are dropped and re-written deterministically (replace-on-retry)."""
-    for name, cutoff in (("offers", resume_gen), ("photos", resume_gen),
-                         ("media", resume_gen), ("quarantine", resume_gen),
-                         ("trapped", resume_gen), ("validators", resume_gen),
-                         ("frontier", resume_gen + 1)):
-        root = os.path.join(workdir, name)
-        if not os.path.isdir(root):
-            continue
-        for d in os.listdir(root):
-            if not d.startswith("gen-"):
-                continue
-            suffix = d.split("-", 1)[1]
+    for name, cutoff in ([(n, resume_gen) for n in GEN_TABLES]
+                         + [("frontier", resume_gen + 1)]):
+        for suffix, d in _gen_dirs(os.path.join(workdir, name)):
             # non-numeric generations (the revisit's carry fragments)
             # are completion artifacts: always rebuilt at the end of a
             # resumed run, so a resume drops them unconditionally
             if not suffix.isdigit() or int(suffix) >= cutoff:
-                shutil.rmtree(os.path.join(root, d), ignore_errors=True)
+                shutil.rmtree(d, ignore_errors=True)

@@ -412,14 +412,8 @@ def compact_fragments(src_dir: str, out_dir: str,
     import pyarrow.parquet as _pq
     import ray.data as _rd
 
-    files = []
-    for gen in sorted(_os.listdir(src_dir)):
-        d = _os.path.join(src_dir, gen)
-        # gen- prefix filter: a crashed atomic dir-rename (".tmp-gen-N")
-        # or any foreign subdirectory must never be compacted in
-        if gen.startswith("gen-") and _os.path.isdir(d):
-            files.extend(_os.path.join(d, f) for f in sorted(_os.listdir(d))
-                         if f.endswith(".parquet"))
+    from .crawl import gen_files
+    files = gen_files(src_dir)
     _os.makedirs(out_dir, exist_ok=True)
     bins: list[list[str]] = [[]]
     acc = 0

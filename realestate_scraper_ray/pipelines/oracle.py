@@ -77,7 +77,7 @@ def _parse_date(text: str | None):
 @dataclass
 class OracleResult:
     urls: list[dict] = field(default_factory=list)     # URLS schema rows, crawl order
-    offers: list[dict] = field(default_factory=list)   # OFFERS schema rows, crawl order
+    offers: list[dict] = field(default_factory=list)   # OFFER_OUT_COLS rows, crawl order
     photos: list[dict] = field(default_factory=list)   # PHOTOS schema rows, crawl order
     media: list[dict] = field(default_factory=list)    # MEDIA rows (download results)
     seen: set[str] = field(default_factory=set)        # normalized URL-seen set

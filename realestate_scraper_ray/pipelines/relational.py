@@ -5222,7 +5222,7 @@ def crawl_revisit(sf_dir: str) -> pd.DataFrame:
     import tempfile
 
     from ..config import CrawlConfig, PortalConfig
-    from .crawl import run_crawl
+    from .crawl import read_fragments, run_crawl
 
     pcfg = PortalConfig(regions=("pomorskie",), base_pages=2,
                         page_size_scale=0.1)
@@ -5238,7 +5238,7 @@ def crawl_revisit(sf_dir: str) -> pd.DataFrame:
         cfg_b = dataclasses.replace(ccfg, validators_from=wd_a)
         res_b = run_crawl(pcfg, cfg_b, wd_b)
 
-        v = res_b._read_gen_dirs("validators")
+        v = read_fragments(os.path.join(wd_b, "validators"))
         counts = {s: n for s, n in zip(*map(
             lambda a: a.to_pylist(),
             v.group_by("status").aggregate([("url", "count")]).columns))}
@@ -5357,11 +5357,13 @@ def _daily_pipeline_body(pcfg0, pcfg1, ccfg, wd_a, wd_b, sdir
     import pyarrow.parquet as pq_mod
 
     from ..stages.incremental import IncrementalGroupSum
-    from .crawl import run_crawl
+    from .crawl import CARRY_GEN, gen_dir, gen_files, run_crawl
 
     def offers_parsed_only(res) -> pa.Table:
-        parts = [pq_mod.read_table(f) for f in res._gen_files("offers")
-                 if "gen-zcarry" not in f]
+        carry = gen_dir(res.workdir, "offers", CARRY_GEN)
+        parts = [pq_mod.read_table(f)
+                 for f in gen_files(os.path.join(res.workdir, "offers"))
+                 if os.path.dirname(f) != carry]
         return (pa.concat_tables(parts, promote_options="default")
                 if parts else None)
 

@@ -80,8 +80,7 @@ def sitemap_crawl(portal_cfg: PortalConfig,
     REQ_FIELDS/range validation as the listing crawl)."""
     cfg = crawl_cfg or CrawlConfig()
     portal = Portal(portal_cfg)
-    urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity,
-                             cfg.fingerprint_bits)
+    urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity)
     politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
                                    cfg.politeness_burst,
                                    cfg.backoff_factor,
@@ -105,36 +104,20 @@ def sitemap_crawl(portal_cfg: PortalConfig,
     admitted = (frontier.map_batches(admit, batch_format="pyarrow")
                 .materialize())
 
-    from ..stages.fetch import make_fetch_fn
+    from ..stages.fetch import COMBINED_SCHEMA, make_fetch_fn
     fetched = admitted.map_batches(
         make_fetch_fn(portal_cfg, cfg, politeness),
         batch_format="pyarrow", batch_size=cfg.fetch_batch_size)
 
-    from .crawl import OFFER_OUT_COLS, PHOTO_OUT_COLS
-    combined = pa.Table.from_pylist(fetched.take_all())
-    if combined.num_rows:
-        offers = (combined.filter(pc.equal(combined["rec_kind"], "offer"))
-                  .select(OFFER_OUT_COLS))
-        photos = (combined.filter(pc.equal(combined["rec_kind"], "photo"))
-                  .select(PHOTO_OUT_COLS))
-    else:
-        offers = pa.table({c: [] for c in OFFER_OUT_COLS})
-        photos = pa.table({c: [] for c in PHOTO_OUT_COLS})
-
-    from ..functions.urls import extract_offer_ids
+    from .crawl import OFFER_OUT_COLS, PHOTO_OUT_COLS, urls_of
+    combined = pa.Table.from_pylist(fetched.take_all(), schema=COMBINED_SCHEMA)
+    offers = (combined.filter(pc.equal(combined["rec_kind"], "offer"))
+              .select(OFFER_OUT_COLS))
+    photos = (combined.filter(pc.equal(combined["rec_kind"], "photo"))
+              .select(PHOTO_OUT_COLS))
     adm = pa.Table.from_pylist(admitted.take_all())
-    if not adm.num_rows:  # nothing admitted: keep the typed urls schema
-        adm = pa.table({c: pa.array([], t) for c, t in (
-            ("url", pa.string()), ("page_idx", pa.int64()),
-            ("source", pa.string()), ("region", pa.string()),
-            ("pos", pa.int64()))})
-    urls = pa.table({
-        "offer_url": adm["url"],
-        "offer_id": extract_offer_ids(adm["url"].combine_chunks()),
-        "page_idx": adm["page_idx"], "source": adm["source"],
-        "region": adm["region"], "pos": adm["pos"]})
     return SitemapCrawlResult(
-        offers=offers, photos=photos, urls=urls,
+        offers=offers, photos=photos, urls=urls_of(adm, kind="offer"),
         n_entries=int(entries.count()), n_admitted=adm.num_rows)
 
 

@@ -45,41 +45,9 @@ URLS = pa.schema([
     pa.field("pos", pa.int32()),
 ])
 
-# The narrow 11-column OFFER_SCHEMA (detail.py:22) + order keys.
-OFFERS = pa.schema([
-    pa.field("offer_id", pa.string()),
-    pa.field("source", pa.string()),
-    pa.field("url", pa.string()),
-    pa.field("price_amount", pa.float64()),
-    pa.field("price_currency", pa.string()),
-    pa.field("price_per_m2", pa.float64()),
-    pa.field("city", pa.string()),
-    pa.field("lat", pa.float64()),
-    pa.field("lon", pa.float64()),
-    pa.field("area_m2", pa.float64()),
-    pa.field("rooms", pa.int32()),
-    pa.field("region", pa.string()),
-    pa.field("page_idx", pa.int32()),
-    pa.field("pos", pa.int32()),
-])
-
 # photos.csv rows (offer_id, seq, url) — otodom.py:817-825.
 PHOTOS = pa.schema([
     pa.field("offer_id", pa.string()),
     pa.field("seq", pa.int32()),
     pa.field("url", pa.string()),
-])
-
-# Checkpoint lineage rows (FIXTURES.md F6; cli.py:786-812 analogue).
-CHECKPOINT = pa.schema([
-    pa.field("generation", pa.int32()),
-    pa.field("source", pa.string()),
-    pa.field("region", pa.string()),
-    pa.field("last_page_done", pa.int32()),
-    pa.field("stop_reason", pa.string()),  # ''|max_pages|no_links|no_new|fetch_fail
-    pa.field("no_new_streak", pa.int32()),
-    pa.field("rows_emitted", pa.int64()),
-    pa.field("fetched", pa.int64()),
-    pa.field("parsed", pa.int64()),
-    pa.field("failed", pa.int64()),
 ])

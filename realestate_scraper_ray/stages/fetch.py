@@ -696,21 +696,14 @@ class FetchParse:
                 self._vcfg = dataclasses.replace(
                     crawl_cfg, host_buckets=int(m["host_buckets"]),
                     skew_salts=tuple((s, int(n)) for s, n in m["skew_salts"]))
-            if _os.path.isdir(root):
-                for gen in sorted(_os.listdir(root)):
-                    d = _os.path.join(root, gen)
-                    if not _os.path.isdir(d):
-                        continue
-                    for f in sorted(_os.listdir(d)):
-                        if not f.endswith(".parquet"):
-                            continue
-                        mb = _VFRAG_BUCKET_RE.match(f) if bucketed else None
-                        p = _os.path.join(d, f)
-                        if mb is None:
-                            self._vbase.update(self._read_validator_frag(p))
-                        else:
-                            self._vindex.setdefault(
-                                int(mb.group(1)), []).append(p)
+            from ..pipelines.crawl import gen_files
+            for p in gen_files(root):
+                mb = (_VFRAG_BUCKET_RE.match(_os.path.basename(p))
+                      if bucketed else None)
+                if mb is None:
+                    self._vbase.update(self._read_validator_frag(p))
+                else:
+                    self._vindex.setdefault(int(mb.group(1)), []).append(p)
 
     def _read_validator_frag(self, path: str):
         import pyarrow.parquet as _pq

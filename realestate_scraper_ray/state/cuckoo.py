@@ -7,8 +7,8 @@ bytes per key across shards. With 32-bit fingerprints (the default) the
 false-positive rate is ≈ 2·b/2^32 ≈ 2e-9 per lookup — negligible, so the
 URL-seen *set* still matches the reference's exact set on any realistic
 crawl (BASELINE.md correctness gate). 16-bit fingerprints halve memory
-for scale runs where ~1e-4 FP is acceptable; the trade-off is config
-(``CrawlConfig.fingerprint_bits``).
+for uses where ~1e-4 FP is acceptable (``fp_bits=16``); the crawl's
+URL-seen shards always use 32.
 
 Upstream key-collision bound: filter keys are 64-bit
 FNV-1a(canonical_url) (state/urlseen.py url_keys), so at the 10^10-URL

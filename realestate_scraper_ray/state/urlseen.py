@@ -53,8 +53,8 @@ class UrlSeenShard:
     filter. At 10^10 keys a full dump is ~20 GB across shards — deltas
     keep steady-state checkpoint I/O proportional to crawl progress."""
 
-    def __init__(self, capacity: int, fp_bits: int = 32):
-        self.filter = CuckooFilter(capacity, fp_bits)
+    def __init__(self, capacity: int):
+        self.filter = CuckooFilter(capacity)
         self._delta: list[np.ndarray] = []
 
     def contains_and_add(self, keys: np.ndarray) -> np.ndarray:
@@ -94,10 +94,10 @@ class UrlSeenShard:
 class UrlSeenService:
     """Driver/stage-side client over the shard actors."""
 
-    def __init__(self, n_shards: int, capacity_per_shard: int, fp_bits: int = 32):
+    def __init__(self, n_shards: int, capacity_per_shard: int):
         self.n = n_shards
         self.shards = [
-            UrlSeenShard.remote(capacity_per_shard, fp_bits) for _ in range(n_shards)
+            UrlSeenShard.remote(capacity_per_shard) for _ in range(n_shards)
         ]
 
     def filter_new(self, urls: list[str] | pa.Array) -> np.ndarray:

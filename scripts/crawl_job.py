@@ -24,7 +24,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _n_not_modified(res) -> int:
-    v = res._read_gen_dirs("validators")
+    from realestate_scraper_ray.pipelines.crawl import read_fragments
+    v = read_fragments(os.path.join(res.workdir, "validators"))
     if v is None:
         return 0
     import pyarrow.compute as pc

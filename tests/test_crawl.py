@@ -130,6 +130,7 @@ def test_limit_offers_and_photos_match_oracle(small_portal, tmp_path, ray_sessio
         ["offer_id", "seq"]).reset_index(drop=True)
     assert gp["url"].tolist() == ep["url"].tolist()
     assert gp["seq"].max() <= 2
+    _assert_dataset_equals_table(engine)
 
 
 def test_robots_off_matches_oracle(tmp_path, ray_session):
@@ -207,10 +208,13 @@ def test_crawl_media_matches_oracle(small_portal, tmp_path, ray_session):
 
 
 def test_dataset_reader_equals_table(run):
+    _assert_dataset_equals_table(run[0])
+
+
+def _assert_dataset_equals_table(engine):
     # the streaming Dataset reader must agree with the driver-side
     # verification table() on every output table
     import pyarrow as pa
-    engine, _, _ = run
     for name in ("urls", "offers", "photos"):
         got = pa.Table.from_pylist(engine.dataset(name).take_all()).to_pandas()
         exp = engine.table(name).to_pandas()

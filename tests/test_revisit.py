@@ -5,13 +5,14 @@ including when a content-version bump changes a deterministic subset of
 pages."""
 
 import dataclasses
+import os
 
 import pandas as pd
 import pyarrow.compute as pc
 import pytest
 
 from realestate_scraper_ray.config import CrawlConfig, PortalConfig
-from realestate_scraper_ray.pipelines.crawl import CrawlResult, run_crawl
+from realestate_scraper_ray.pipelines.crawl import read_fragments, run_crawl
 from realestate_scraper_ray.pipelines.oracle import crawl_oracle
 
 CRAWL = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
@@ -31,7 +32,7 @@ def _sorted_tbl(res, name, keys):
 
 
 def _meta_status_counts(res):
-    v = res._read_gen_dirs("validators")
+    v = read_fragments(os.path.join(res.workdir, "validators"))
     if v is None:
         return {}
     return dict(zip(*map(

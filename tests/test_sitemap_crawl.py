@@ -5,7 +5,9 @@ admission."""
 import pandas as pd
 import pytest
 
+from realestate_scraper_ray import schemas
 from realestate_scraper_ray.config import CrawlConfig, PortalConfig
+from realestate_scraper_ray.pipelines.crawl import OUT_SCHEMAS
 from realestate_scraper_ray.pipelines.sitemap_crawl import (
     sitemap_crawl, sitemap_crawl_oracle,
 )
@@ -79,15 +81,14 @@ def test_admission_dedups(run):
 
 def test_nothing_admitted_keeps_typed_urls_schema(ray_session):
     """A recency cutoff no sitemap entry passes admits nothing; the
-    urls table is still the typed six-column schema, zero rows."""
-    import pyarrow as pa
+    urls, offers and photos tables still carry the crawl's column
+    types, zero rows."""
     cfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
                       fetch_batch_size=64, last_days=-100_000)
     res = sitemap_crawl(PCFG, cfg)
     assert res.n_admitted == 0 and res.urls.num_rows == 0
-    assert res.urls.column_names == ["offer_url", "offer_id", "page_idx",
-                                     "source", "region", "pos"]
-    assert res.urls.schema.field("pos").type == pa.int64()
-    assert res.urls.schema.field("page_idx").type == pa.int64()
-    assert pa.types.is_string(res.urls.schema.field("offer_url").type)
+    assert res.urls.schema == schemas.URLS
+    for name in ("offers", "photos"):
+        t = res.table(name)
+        assert t.num_rows == 0 and t.schema == OUT_SCHEMAS[name]
     assert not sitemap_crawl_oracle(Portal(PCFG), cfg).urls
