@@ -59,6 +59,7 @@ from ..config import CrawlConfig, PortalConfig
 from ..functions.urls import extract_offer_ids, host_of
 from ..schemas import FRONTIER, URLS
 from ..sources.synth_portal import Portal
+from ..stages.exchange import bucket_of
 from ..stages.fetch import COMBINED_SCHEMA, make_fetch_fn
 from ..state.politeness import PolitenessService
 from ..state.urlseen import UrlSeenService
@@ -221,8 +222,9 @@ def _host_buckets(urls: pa.Array | pa.ChunkedArray, cfg: CrawlConfig) -> np.ndar
 
     Vectorized: hosts extract via a polars Rust kernel, per-DISTINCT-
     host crc32 (host cardinality is O(sources×regions), not O(rows)),
-    per-URL salt via the polars xxh3 hash kernel with a fixed seed —
-    Python work is O(distinct hosts) per wave."""
+    per-URL salt via the version-stable ``exchange.bucket_of`` over the
+    salted hosts' rows only — Python work is O(distinct hosts) per
+    wave."""
     import polars as pl
     arr = urls if isinstance(urls, (pa.Array, pa.ChunkedArray)) \
         else pa.array(urls, pa.string())
@@ -252,8 +254,12 @@ def _host_buckets(urls: pa.Array | pa.ChunkedArray, cfg: CrawlConfig) -> np.ndar
                 nsalt_u[j] = max(1, n)
                 break
     inv = enc.indices.to_numpy(zero_copy_only=False)
-    salt = s.hash(seed=1147).to_numpy() % nsalt_u[inv]
-    return (base_u[inv] + salt.astype(np.int64)) % cfg.host_buckets
+    out = base_u[inv]
+    nsalt = nsalt_u[inv]
+    for n in np.unique(nsalt[nsalt > 1]):
+        rows = np.flatnonzero(nsalt == n)
+        out[rows] += bucket_of(arr.take(rows), int(n))
+    return out % cfg.host_buckets
 
 
 def _write_fragment(table: pa.Table, dirpath: str,

@@ -10,11 +10,13 @@ Registered via the ``@query`` decorator; `__ray_entry__.py` re-exports.
 Float determinism: any summed money/value column is aggregated as an
 integer-scaled ``int64`` (cents / 1e-4 units) and divided back at the
 end, so Ray's combine order and DuckDB's sequential sum produce
-bit-identical doubles. Ratios/averages divide exact integers.
+bit-identical doubles. The scaling is ``stages/aggregate.scaled`` —
+ties round half away from zero, like the oracle's ``ROUND``.
+Ratios/averages divide exact integers.
 
-Scale notes are inline: reads prune columns, aggregates pre-aggregate
-per batch (pyarrow ``Table.group_by``) before the shuffle, small join
-sides broadcast via ``ray.put``, large-large joins use the
+Scale notes are inline: reads prune columns, grouped aggregates
+pre-aggregate per batch before the shuffle (``stages/aggregate.grouped``),
+small join sides broadcast via ``ray.put``, large-large joins use the
 hash-partitioned ``Dataset.join``.
 """
 
@@ -33,6 +35,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..stages.aggregate import grouped, scaled
 from ..stages.exchange import exchange
 
 QUERIES: dict[str, Callable[[str], Any]] = {}
@@ -56,6 +59,39 @@ def _pq(sf_dir: str, table: str, columns: list[str] | None = None,
     filter column need not be in ``columns``."""
     return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
                            columns=columns, filter=filter)
+
+def _cents(t: pa.Table) -> pa.Array:
+    """``value`` in integer cents: the oracle's ``ROUND(value*100)``."""
+    return scaled(t["value"], 100)
+
+
+def _disc_price(t: pa.Table) -> pa.Array:
+    """``l_extendedprice*(1-l_discount)``, the TPC-H revenue term."""
+    return pc.multiply(t["l_extendedprice"], pc.subtract(1.0, t["l_discount"]))
+
+
+def _epoch_us(t: pa.Table) -> np.ndarray:
+    return t["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+
+
+def _hour_id(t: pa.Table) -> np.ndarray:
+    return _epoch_us(t) // 3_600_000_000
+
+
+def _day_id(t: pa.Table) -> np.ndarray:
+    return _epoch_us(t) // 86_400_000_000
+
+
+def _dow(t: pa.Table) -> np.ndarray:
+    """DuckDB ``dayofweek`` (Sunday = 0): epoch day 0 was a Thursday."""
+    return (_day_id(t) + 4) % 7
+
+
+def _ws_terms(t: pa.Table) -> pa.Table:
+    """The non-empty ``\\s+`` tokens of ``text`` (the oracle's split)."""
+    toks = pc.list_flatten(pc.split_pattern_regex(t["text"], r"\s+"))
+    return pa.table({"term": toks.filter(pc.not_equal(toks, ""))})
+
 
 def _as_arrow(ds: rd.Dataset) -> rd.Dataset:
     """Convert a Dataset's blocks to Arrow format. Dataset-returning
@@ -94,32 +130,12 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount"],
              filter=(pc.field("l_shipdate") <= cutoff))
-
-    def partial(t: pa.Table) -> pa.Table:
-        qty = pc.cast(pc.round(pc.multiply(t["l_quantity"], 100.0)), pa.int64())
-        base = pc.cast(pc.round(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_price = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(1.0, t["l_discount"])), 10000.0)), pa.int64())
-        disc = pc.cast(pc.round(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        p = pa.table({
-            "l_returnflag": t["l_returnflag"], "l_linestatus": t["l_linestatus"],
-            "q": qty, "b": base, "d": disc_price, "dc": disc})
-        return p.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("q", "sum"), ("b", "sum"), ("d", "sum"), ("dc", "sum"),
-             ("q", "count")])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("q_sum", alias_name="q"), Sum("b_sum", alias_name="b"),
-                      Sum("d_sum", alias_name="d"), Sum("dc_sum", alias_name="dc"),
-                      Sum("q_count", alias_name="n"))
-           .to_pandas())
-    return pd.DataFrame({
-        "l_returnflag": out["l_returnflag"], "l_linestatus": out["l_linestatus"],
-        "sum_qty": out["q"] / 100.0, "sum_base_price": out["b"] / 100.0,
-        "sum_disc_price": out["d"] / 10000.0, "sum_disc": out["dc"] / 100.0,
-        "count_order": out["n"].astype("int64")})
+    return grouped(ds, ["l_returnflag", "l_linestatus"], {
+        "sum_qty": ("l_quantity", "sum", 100),
+        "sum_base_price": ("l_extendedprice", "sum", 100),
+        "sum_disc_price": (_disc_price, "sum", 10000),
+        "sum_disc": ("l_discount", "sum", 100),
+        "count_order": (None, "count")})
 
 
 _Q3_SQL = """
@@ -156,10 +172,8 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     li_f = semi_join(li, okeys, "l_orderkey", "o_orderkey")
 
     def partial_rev(t: pa.Table) -> pa.Table:
-        rev = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"], pc.subtract(1.0, t["l_discount"])), 10000.0)),
-            pa.int64())
-        p = pa.table({"l_orderkey": t["l_orderkey"], "r": rev})
+        p = pa.table({"l_orderkey": t["l_orderkey"],
+                      "r": scaled(_disc_price(t), 10000)})
         return p.group_by(["l_orderkey"]).aggregate([("r", "sum")])
 
     rev = (li_f.map_batches(partial_rev, batch_format="pyarrow")
@@ -233,17 +247,8 @@ def q5_region_revenue(sf_dir: str) -> pd.DataFrame:
     li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
     rev = lookup_join(li, onat, "l_orderkey", "o_orderkey", ["n_name"])
 
-    def partial_rev(t: pa.Table) -> pa.Table:
-        r = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"], pc.subtract(1.0, t["l_discount"])), 10000.0)),
-            pa.int64())
-        return (pa.table({"n_name": t["n_name"], "r": r})
-                .group_by(["n_name"]).aggregate([("r", "sum")]))
-
-    out = (rev.map_batches(partial_rev, batch_format="pyarrow")
-           .groupby("n_name").aggregate(Sum("r_sum", alias_name="r")).to_pandas())
-    out["revenue"] = out["r"] / 10000.0
-    return out[["n_name", "revenue"]].sort_values("n_name").reset_index(drop=True)
+    out = grouped(rev, ["n_name"], {"revenue": (_disc_price, "sum", 10000)})
+    return out.sort_values("n_name").reset_index(drop=True)
 
 
 _COVERAGE_SQL = """
@@ -400,23 +405,9 @@ def events_hourly_window(sf_dir: str) -> pd.DataFrame:
     the Ray Data shape for windowed aggregates (no watermarks needed for
     bounded batch input)."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        epoch_us = pc.cast(t["ts"], pa.int64())
-        hour = pc.cast(pc.floor(pc.divide(pc.cast(epoch_us, pa.float64()), 3.6e9)),
-                       pa.int64())
-        v = pc.cast(pc.round(pc.multiply(t["value"], 100.0)), pa.int64())
-        p = pa.table({"user_id": t["user_id"], "hour_bucket": hour, "v": v})
-        return p.group_by(["user_id", "hour_bucket"]).aggregate(
-            [("v", "sum"), ("v", "count")])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["user_id", "hour_bucket"])
-           .aggregate(Sum("v_sum", alias_name="v"), Sum("v_count", alias_name="n"))
-           .to_pandas())
-    return pd.DataFrame({"user_id": out["user_id"], "hour_bucket": out["hour_bucket"],
-                         "n_events": out["n"].astype("int64"),
-                         "sum_value": out["v"] / 100.0})
+    return grouped(ds, {"user_id": "user_id", "hour_bucket": _hour_id},
+                   {"n_events": (None, "count"),
+                    "sum_value": ("value", "sum", 100)})
 
 
 _SESSION_SQL = """
@@ -480,11 +471,8 @@ def orders_with_returns_semi(sf_dir: str) -> pd.DataFrame:
     joined = orders.join(keys, join_type="inner",
                          num_partitions=adaptive_partitions(orders.count()),
                          on=("o_orderkey",), right_on=("l_orderkey",))
-    out = pa.Table.from_pylist(
-        joined.groupby("o_orderpriority")
-        .aggregate(Count(alias_name="order_count")).take_all()).to_pandas()
-    return (out.astype({"order_count": "int64"})
-            .sort_values("o_orderpriority").reset_index(drop=True))
+    out = grouped(joined, ["o_orderpriority"], {"order_count": (None, "count")})
+    return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
 _DISTINCT_SQL = """
@@ -499,15 +487,17 @@ def distinct_users_per_type(sf_dir: str) -> pd.DataFrame:
     pair dedup → count per group. The shuffle carries distinct pairs
     only — the pre-aggregate pattern for COUNT(DISTINCT)."""
     ds = _pq(sf_dir, "events", ["event_type", "user_id"])
-    pairs = (ds.map_batches(
-        lambda t: t.group_by(["event_type", "user_id"]).aggregate([]),
-        batch_format="pyarrow")
-        .groupby(["event_type", "user_id"]).aggregate(Count(alias_name="_n")))
-    out = pa.Table.from_pylist(
-        pairs.groupby("event_type").aggregate(Count(alias_name="n_users"))
-        .take_all()).to_pandas()
-    return (out.astype({"n_users": "int64"})
-            .sort_values("event_type").reset_index(drop=True))
+    out = _count_distinct(ds, "event_type", "user_id", "n_users")
+    return out.sort_values("event_type").reset_index(drop=True)
+
+
+def _count_distinct(ds, key: str, col: str, out: str) -> pd.DataFrame:
+    """``COUNT(DISTINCT col) AS out ... GROUP BY key``: per-batch pair
+    dedup, a global pair dedup, then a count per key."""
+    pairs = (ds.map_batches(lambda t: t.group_by([key, col]).aggregate([]),
+                            batch_format="pyarrow")
+             .groupby([key, col]).aggregate(Count(alias_name="_n")))
+    return grouped(pairs, [key], {out: (None, "count")})
 
 
 _MEDIAN_SQL = """
@@ -598,16 +588,13 @@ FROM events
 @query("events_running_total", _RUNNING_SQL)
 def events_running_total(sf_dir: str) -> rd.Dataset:
     """Per-key running aggregate: bucketed exchange + one polars
-    cum_sum-over-user pass per bucket. Cents come from numpy round
-    (half-even, matching the previous engine output bit-for-bit);
-    the cumulative sum is integer, so combine order can't drift."""
+    cum_sum-over-user pass per bucket. The cumulative sum is over
+    integer cents, so combine order can't drift."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def running(t: pa.Table) -> pa.Table:
-        cents = np.round(t["value"].to_numpy(zero_copy_only=False)
-                         * 100.0).astype(np.int64)
         df = (pl.from_arrow(t.drop_columns(["value"])
-                            .append_column("c", pa.array(cents)))
+                            .append_column("c", _cents(t)))
               .sort(["user_id", "ts", "event_id"]))
         out = (df.with_columns(
                    pl.col("c").cum_sum().over("user_id").alias("rc"))
@@ -644,10 +631,8 @@ def events_moving_avg(sf_dir: str) -> rd.Dataset:
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def mavg(t: pa.Table) -> pa.Table:
-        cents = np.round(t["value"].to_numpy(zero_copy_only=False)
-                         * 100.0).astype(np.int64)
         df = (pl.from_arrow(t.drop_columns(["value"])
-                            .append_column("c", pa.array(cents)))
+                            .append_column("c", _cents(t)))
               .sort(["user_id", "ts", "event_id"]))
         win = (pl.col("c").cum_sum()
                - pl.col("c").cum_sum().shift(3).fill_null(0)).over("user_id")
@@ -1639,18 +1624,10 @@ def embedding_norm_stats(sf_dir: str) -> pd.DataFrame:
     """List-column handling (A6 span-count shape): per-label vector
     counts + total list lengths via pc.list_value_length."""
     ds = _pq(sf_dir, "embeddings", ["label", "embedding"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        dims = pc.cast(pc.list_value_length(t["embedding"]), pa.int64())
-        p = pa.table({"label": t["label"], "d": dims})
-        return p.group_by(["label"]).aggregate([("d", "sum"), ("d", "count")])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("label").aggregate(Sum("d_sum", alias_name="td"),
-                                       Sum("d_count", alias_name="n"))
-           .to_pandas())
-    return pd.DataFrame({"label": out["label"], "n": out["n"].astype("int64"),
-                         "total_dims": out["td"].astype("int64")})
+    return grouped(ds, ["label"], {
+        "n": (None, "count"),
+        "total_dims": (lambda t: pc.cast(pc.list_value_length(t["embedding"]),
+                                         pa.int64()), "sum")})
 
 
 # ---------------------------------------------------------------------------
@@ -1796,12 +1773,9 @@ def corpus_top_terms(sf_dir: str) -> pd.DataFrame:
     vocabulary-sized row per batch before the global token groupby."""
     from ..functions.corpus import df_partials
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    out = (ds.map_batches(
+    out = grouped(ds.map_batches(
         lambda t: df_partials(t["doc_id"].to_numpy(), t["text"].to_pylist()),
-        batch_format="pyarrow")
-        .groupby("token").aggregate(Sum("df", alias_name="df"))
-        .to_pandas())
-    out["df"] = out["df"].astype("int64")
+        batch_format="pyarrow"), ["token"], {"df": ("df", "sum")})
     return (out.sort_values(["df", "token"], ascending=[False, True])
             .head(50).reset_index(drop=True))
 
@@ -1837,12 +1811,11 @@ def lm_logprob_score(sf_dir: str) -> pd.DataFrame:
     from ..functions.corpus import (build_unigram_model, logprob_scores,
                                     unigram_partials)
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    counts = (ds.map_batches(
+    # vocabulary-sized (top-V at 100 TB), driver-safe
+    counts = grouped(ds.map_batches(
         lambda t: unigram_partials(t["doc_id"].to_numpy(),
                                    t["text"].to_pylist()),
-        batch_format="pyarrow")
-        .groupby("tok").aggregate(Sum("c", alias_name="c"))
-        .to_pandas())  # vocabulary-sized (top-V at 100 TB), driver-safe
+        batch_format="pyarrow"), ["tok"], {"c": ("c", "sum")})
     vocab, _ = build_unigram_model(counts)  # full vocab; top_v at scale
     vocab_ref = ray.put(vocab)
 
@@ -2102,9 +2075,8 @@ def quality_quantile_filter(sf_dir: str) -> rd.Dataset:
                          "n_words": pc.cast(tc["n_tokens_ws"], pa.int64())})
 
     scores = ds.map_batches(tok, batch_format="pyarrow").materialize()
-    hist = (scores.select_columns(["n_words"])
-            .groupby("n_words").aggregate(Count(alias_name="n"))
-            .to_pandas().sort_values("n_words").reset_index(drop=True))
+    hist = (grouped(scores, ["n_words"], {"n": (None, "count")})
+            .sort_values("n_words").reset_index(drop=True))
     # quantile_disc picks the sorted element at index floor((N-1)*q).
     total = int(hist["n"].sum())
     idx = int(np.floor((total - 1) * 0.75))
@@ -2139,9 +2111,8 @@ def source_temperature_sample(sf_dir: str) -> rd.Dataset:
     from ..functions.textstats import md5_fingerprints
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
     # count per source WITHOUT shipping the text through the shuffle
-    counts = (ds.select_columns(["source"])
-              .groupby("source").aggregate(Count(alias_name="n_g"))
-              .to_pandas())
+    counts = grouped(ds.select_columns(["source"]), ["source"],
+                     {"n_g": (None, "count")})
     n_total = float(counts["n_g"].sum())
     thr = {
         s: float(np.minimum(16777216.0,
@@ -2187,6 +2158,14 @@ FROM o
 """
 
 
+def _bucket_offsets(ds: rd.Dataset, col: str):
+    """Broadcast ``{bucket: exclusive prefix sum of col}`` — the driver
+    step of hierarchical packing (per-bucket totals are tiny)."""
+    tot = grouped(ds, ["bucket"], {"tot": (col, "sum")}).sort_values("bucket")
+    starts = tot["tot"].cumsum() - tot["tot"]
+    return ray.put(dict(zip(tot["bucket"].astype(int), starts.astype(int))))
+
+
 @query("sequence_packing", _PACK_SQL)
 def sequence_packing(sf_dir: str) -> rd.Dataset:
     from ..functions.textstats import token_counts
@@ -2200,11 +2179,7 @@ def sequence_packing(sf_dir: str) -> rd.Dataset:
         return pa.table({"doc_id": t["doc_id"], "n_tokens": n, "bucket": b})
 
     toks = ds.map_batches(tok, batch_format="pyarrow").materialize()
-    sub = (toks.select_columns(["bucket", "n_tokens"])
-           .groupby("bucket").aggregate(Sum("n_tokens", alias_name="tot"))
-           .to_pandas().sort_values("bucket").reset_index(drop=True))
-    starts = np.concatenate(([0], sub["tot"].cumsum().to_numpy()[:-1]))
-    offsets = ray.put(dict(zip(sub["bucket"].astype(int), starts.astype(int))))
+    offsets = _bucket_offsets(toks, "n_tokens")
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id").reset_index(drop=True)
@@ -2834,15 +2809,7 @@ def approx_distinct_users(sf_dir: str) -> pd.DataFrame:
     approx = (ds.map_batches(partial, batch_format="pyarrow")
               .groupby("event_type").map_groups(merge, batch_format="pyarrow")
               .to_pandas())
-    # per-batch distinct (event_type, user_id) partial shrinks the
-    # two-level exact distinct's exchange to unique pairs per block
-    exact = (ds.map_batches(
-                lambda t: t.group_by(["event_type", "user_id"]).aggregate([]),
-                batch_format="pyarrow")
-             .groupby(["event_type", "user_id"])
-             .aggregate(Count(alias_name="_n"))
-             .groupby("event_type").aggregate(Count(alias_name="n_exact"))
-             .to_pandas()[["event_type", "n_exact"]])
+    exact = _count_distinct(ds, "event_type", "user_id", "n_exact")
     out = exact.merge(approx, on="event_type")
     out["approx_ok"] = (out["n_approx"] - out["n_exact"]).abs() <= \
         0.05 * out["n_exact"]
@@ -3086,14 +3053,8 @@ def heavy_hitter_terms(sf_dir: str) -> pd.DataFrame:
     from ..functions.sketches import misra_gries_partial
     ds = _pq(sf_dir, "documents", ["text"])
 
-    def exact_partial(t: pa.Table) -> pa.Table:
-        toks = pa.table({"term": pc.list_flatten(
-            pc.split_pattern_regex(t["text"], r"\s+"))})
-        toks = toks.filter(pc.not_equal(toks["term"], ""))
-        return toks.group_by("term").aggregate([("term", "count")])
-
     def mg_partial(t: pa.Table) -> pa.Table:
-        # tokenize with the SAME RE2 \s+ split as exact_partial (and the
+        # tokenize with the SAME RE2 \s+ split as _ws_terms (and the
         # SQL oracle): Python str.split() also breaks on Unicode spaces
         # (NBSP etc.), so a heavy term containing one would be in the
         # exact top-10 yet absent from the sketch, flipping in_sketch
@@ -3106,9 +3067,8 @@ def heavy_hitter_terms(sf_dir: str) -> pd.DataFrame:
             "n_toks": pa.array([len(toks)] + [0] * (len(counters) - 1)
                                if counters else [], pa.int64())})
 
-    exact = (ds.map_batches(exact_partial, batch_format="pyarrow")
-             .groupby("term").aggregate(Sum("term_count", alias_name="n_exact"))
-             .to_pandas())
+    exact = grouped(ds.map_batches(_ws_terms, batch_format="pyarrow"),
+                    ["term"], {"n_exact": (None, "count")})
     sk = (ds.map_batches(mg_partial, batch_format="pyarrow")
           .groupby("term").aggregate(Sum("est", alias_name="est"),
                                      Sum("n_toks", alias_name="nt"))
@@ -3117,7 +3077,6 @@ def heavy_hitter_terms(sf_dir: str) -> pd.DataFrame:
     top = (exact.sort_values(["n_exact", "term"],
                              ascending=[False, True]).head(10)
            .reset_index(drop=True))
-    top["n_exact"] = top["n_exact"].astype("int64")
     top["in_sketch"] = top["term"].isin(sketch_terms)
     return top[["term", "n_exact", "in_sketch"]]
 
@@ -3355,27 +3314,15 @@ def events_type_rollup(sf_dir: str) -> pd.DataFrame:
     levels re-aggregate the finest *result* (|types|x|days| rows — tiny
     at any input scale), never the input. One shuffle, not three."""
     ds = _pq(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        p = pa.table({
-            "event_type": t["event_type"],
-            "day": pc.strftime(t["ts"], format="%Y-%m-%d"),
-            "v": pc.cast(pc.round(pc.multiply(t["value"], 100.0)), pa.int64())})
-        return p.group_by(["event_type", "day"]).aggregate(
-            [("v", "sum"), ("v", "count")])
-
-    fine = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["event_type", "day"])
-            .aggregate(Sum("v_sum", alias_name="v"),
-                       Sum("v_count", alias_name="n"))
-            .to_pandas())
+    fine = grouped(ds, {"event_type": "event_type",
+                        "day": lambda t: pc.strftime(t["ts"], format="%Y-%m-%d")},
+                   {"v": (_cents, "sum"), "n": (None, "count")})
     by_type = (fine.groupby("event_type", as_index=False)[["v", "n"]]
                .sum().assign(day="ALL"))
     total = pd.DataFrame({"event_type": ["ALL"], "day": ["ALL"],
                           "v": [fine["v"].sum()], "n": [fine["n"].sum()]})
     out = pd.concat([fine, by_type, total], ignore_index=True)
     out["total_value"] = out["v"] / 100.0
-    out["n"] = out["n"].astype("int64")
     return (out[["event_type", "day", "n", "total_value"]]
             .sort_values(["event_type", "day"]).reset_index(drop=True))
 
@@ -3399,21 +3346,10 @@ def events_pivot_counts(sf_dir: str) -> pd.DataFrame:
     event. The scale-safe pivot for a known, small column key set."""
     types = ["click", "error", "purchase", "signup", "view"]
     ds = _pq(sf_dir, "events", ["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cols: dict[str, Any] = {"user_id": t["user_id"]}
-        for ty in types:
-            cols[f"n_{ty}"] = pc.cast(pc.equal(t["event_type"], ty),
-                                      pa.int64())
-        return pa.table(cols).group_by("user_id").aggregate(
-            [(f"n_{ty}", "sum") for ty in types])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("user_id")
-           .aggregate(*[Sum(f"n_{ty}_sum", alias_name=f"n_{ty}")
-                        for ty in types])
-           .to_pandas())
-    out = out.astype({f"n_{ty}": "int64" for ty in types})
+    out = grouped(ds, ["user_id"], {
+        f"n_{ty}": (lambda t, ty=ty: pc.cast(pc.equal(t["event_type"], ty),
+                                             pa.int64()), "sum")
+        for ty in types})
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -3726,10 +3662,9 @@ def orders_above_cust_avg(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     def cents(t: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)),
-                    pa.int64())
         return pa.table({"o_orderkey": t["o_orderkey"],
-                         "o_custkey": t["o_custkey"], "c": c})
+                         "o_custkey": t["o_custkey"],
+                         "c": scaled(t["o_totalprice"], 100)})
 
     fact = ds.map_batches(cents, batch_format="pyarrow")
 
@@ -3781,24 +3716,17 @@ def promo_revenue_share(sf_dir: str) -> pd.DataFrame:
                                   "l_discount"])
 
     def disc(t: pa.Table) -> pa.Table:
-        d = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"], pc.subtract(1.0, t["l_discount"])),
-            10000.0)), pa.int64())
-        return pa.table({"l_partkey": t["l_partkey"], "d": d})
+        return pa.table({"l_partkey": t["l_partkey"],
+                         "d": scaled(_disc_price(t), 10000)})
 
     part = _pq(sf_dir, "part", ["p_partkey", "p_type"])
     joined = lookup_join(li.map_batches(disc, batch_format="pyarrow"),
                          part, "l_partkey", "p_partkey", ["p_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        d = t["d"].to_numpy()
-        promo = pc.equal(t["p_type"], "PROMO").to_numpy(zero_copy_only=False)
-        return pa.table({"p": pa.array([int(d[promo].sum())], pa.int64()),
-                         "t": pa.array([int(d.sum())], pa.int64())})
-
-    agg = (joined.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("p"), Sum("t")))
-    p, t = int(agg["sum(p)"]), int(agg["sum(t)"])
+    agg = grouped(joined, [], {
+        "p": (lambda t: pc.if_else(pc.equal(t["p_type"], "PROMO"),
+                                   t["d"], 0), "sum"),
+        "t": ("d", "sum")})
+    p, t = int(agg["p"].iloc[0]), int(agg["t"].iloc[0])
     return pd.DataFrame({"promo_revenue": [p / 10000.0],
                          "total_revenue": [t / 10000.0],
                          "promo_share": [p / t]})
@@ -3825,22 +3753,9 @@ def supplier_balance_by_region(sf_dir: str) -> pd.DataFrame:
     reg = _pq(sf_dir, "region", ["r_regionkey", "r_name"])
     j = lookup_join(sup, nat, "s_nationkey", "n_nationkey", ["n_regionkey"])
     j = lookup_join(j, reg, "n_regionkey", "r_regionkey", ["r_name"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(t["s_acctbal"], 100.0)),
-                        pa.int64())
-        p = pa.table({"r_name": t["r_name"], "c": cents})
-        return p.group_by("r_name").aggregate([("c", "sum"), ("c", "count")])
-
-    out = (j.map_batches(partial, batch_format="pyarrow")
-           .groupby("r_name")
-           .aggregate(Sum("c_sum", alias_name="c"),
-                      Sum("c_count", alias_name="n_suppliers"))
-           .to_pandas())
-    out["total_acctbal"] = out["c"] / 100.0
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
-    return (out[["r_name", "n_suppliers", "total_acctbal"]]
-            .sort_values("r_name").reset_index(drop=True))
+    out = grouped(j, ["r_name"], {"n_suppliers": (None, "count"),
+                                  "total_acctbal": ("s_acctbal", "sum", 100)})
+    return out.sort_values("r_name").reset_index(drop=True)
 
 
 # Composed oracle for the end-to-end ASSEMBLY pipeline
@@ -4305,12 +4220,7 @@ def crawl_training_corpus(sf_dir: str) -> pd.DataFrame:
                  "bucket", pc.divide(t["oid"], 1 << 14)),
                  batch_format="pyarrow")
              .materialize())
-    sub = (canon.select_columns(["bucket", "n_tokens"])
-           .groupby("bucket").aggregate(Sum("n_tokens", alias_name="tot"))
-           .to_pandas().sort_values("bucket").reset_index(drop=True))
-    starts = np.concatenate(([0], sub["tot"].cumsum().to_numpy()[:-1]))
-    offsets = ray.put(dict(zip(sub["bucket"].astype(int),
-                               starts.astype(int))))
+    offsets = _bucket_offsets(canon, "n_tokens")
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("oid").reset_index(drop=True)
@@ -4375,12 +4285,7 @@ def crawl_vlm_packing(sf_dir: str) -> pd.DataFrame:
                 .append_column("bucket", pc.divide(t["oid"], 1 << 14)),
                 batch_format="pyarrow")
             .materialize())
-    sub = (docs.select_columns(["bucket", "cost"])
-           .groupby("bucket").aggregate(Sum("cost", alias_name="tot"))
-           .to_pandas().sort_values("bucket").reset_index(drop=True))
-    starts = np.concatenate(([0], sub["tot"].cumsum().to_numpy()[:-1]))
-    offsets = ray.put(dict(zip(sub["bucket"].astype(int),
-                               starts.astype(int))))
+    offsets = _bucket_offsets(docs, "cost")
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("oid").reset_index(drop=True)
@@ -4434,7 +4339,7 @@ def events_outlier_zscore(sf_dir: str) -> rd.Dataset:
     ds = _pq(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def partials(t: pa.Table) -> pa.Table:
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
+        cents = _cents(t).to_numpy()
         mx = int(np.abs(cents).max(initial=0))
         if mx * mx * max(len(cents), 1) <= (1 << 62):
             g = pa.table({"event_type": t["event_type"],
@@ -4467,7 +4372,7 @@ def events_outlier_zscore(sf_dir: str) -> rd.Dataset:
            for t, (n, s, ss) in mom.items()}
 
     def flag(t: pa.Table) -> pa.Table:
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
+        cents = _cents(t).to_numpy()
         et = t["event_type"].to_numpy(zero_copy_only=False)
         keep = np.zeros(len(t), dtype=bool)
         mx = int(np.abs(cents).max(initial=0))
@@ -4545,7 +4450,7 @@ def _grouped_xy_sums(sf_dir: str, *, with_syy: bool
     def partials(t: pa.Table) -> pa.Table:
         x = (t["ts"].to_numpy().astype("datetime64[s]").astype(np.int64)
              - x0)
-        y = np.round(t["value"].to_numpy() * 100).astype(np.int64)
+        y = _cents(t).to_numpy()
         prods = {"sx": x, "sy": y, "sxy": x * y, "sxx": x * x}
         if with_syy:
             prods["syy"] = y * y
@@ -4810,11 +4715,8 @@ def events_incremental_hourly(sf_dir: str) -> rd.Dataset:
     from ..stages.incremental import IncrementalGroupSum
 
     def partials(t: pa.Table) -> pa.Table:
-        hour = (t["ts"].to_numpy().astype("datetime64[us]")
-                .astype(np.int64) // 3_600_000_000)
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
-        g = pa.table({"hour_id": hour, "event_type": t["event_type"],
-                      "n": np.ones(len(t), np.int64), "s": cents}) \
+        g = pa.table({"hour_id": _hour_id(t), "event_type": t["event_type"],
+                      "n": np.ones(len(t), np.int64), "s": _cents(t)}) \
             .group_by(["hour_id", "event_type"]) \
             .aggregate([("n", "sum"), ("s", "sum")])
         return g.rename_columns(["hour_id", "event_type", "n", "s"])
@@ -4869,22 +4771,8 @@ def events_rollup_counts(sf_dir: str) -> pd.DataFrame:
     domain-sized (|types|·|hours| rows), never from the base table —
     so the rollup costs one shuffle regardless of level count."""
     ds = _pq(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partials(t: pa.Table) -> pa.Table:
-        hour = (t["ts"].to_numpy().astype("datetime64[us]")
-                .astype(np.int64) // 3_600_000_000)
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
-        g = pa.table({"event_type": t["event_type"], "hour_id": hour,
-                      "n": np.ones(len(t), np.int64), "s": cents}) \
-            .group_by(["event_type", "hour_id"]) \
-            .aggregate([("n", "sum"), ("s", "sum")])
-        return g.rename_columns(["event_type", "hour_id", "n", "s"])
-
-    leaf = (ds.map_batches(partials, batch_format="pyarrow")
-            .groupby(["event_type", "hour_id"])
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("s", alias_name="cents_sum"))
-            .to_pandas())
+    leaf = grouped(ds, {"event_type": "event_type", "hour_id": _hour_id},
+                   {"n": (None, "count"), "cents_sum": (_cents, "sum")})
     lvl1 = (leaf.groupby("event_type", as_index=False)
             [["n", "cents_sum"]].sum())
     lvl1["hour_id"] = -1
@@ -4929,11 +4817,8 @@ def returned_revenue_by_customer(sf_dir: str) -> pd.DataFrame:
              filter=(pc.field("l_returnflag") == "R"))
 
     def rev_partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(1.0, t["l_discount"])), 10000.0)),
-            pa.int64())
-        return (pa.table({"l_orderkey": t["l_orderkey"], "c": cents})
+        return (pa.table({"l_orderkey": t["l_orderkey"],
+                          "c": scaled(_disc_price(t), 10000)})
                 .group_by("l_orderkey").aggregate([("c", "sum")])
                 .rename_columns(["l_orderkey", "c"]))
 
@@ -5174,12 +5059,6 @@ def cms_point_frequency(sf_dir: str) -> pd.DataFrame:
     from ..functions.textstats import fnv1a64
     ds = _pq(sf_dir, "documents", ["text"])
 
-    def exact_partial(t: pa.Table) -> pa.Table:
-        toks = pa.table({"term": pc.list_flatten(
-            pc.split_pattern_regex(t["text"], r"\s+"))})
-        toks = toks.filter(pc.not_equal(toks["term"], ""))
-        return toks.group_by("term").aggregate([("term", "count")])
-
     def grid_partial(t: pa.Table) -> pa.Table:
         from ..functions.sketches import cms_partial
         toks = pc.list_flatten(pc.split_pattern_regex(t["text"], r"\s+"))
@@ -5189,10 +5068,8 @@ def cms_point_frequency(sf_dir: str) -> pd.DataFrame:
             "grid": pa.array([cms_partial(h).tobytes()], pa.binary()),
             "n": pa.array([len(h)], pa.int64())})
 
-    exact = (ds.map_batches(exact_partial, batch_format="pyarrow")
-             .groupby("term")
-             .aggregate(Sum("term_count", alias_name="n_exact"))
-             .to_pandas())
+    exact = grouped(ds.map_batches(_ws_terms, batch_format="pyarrow"),
+                    ["term"], {"n_exact": (None, "count")})
     parts = ds.map_batches(grid_partial, batch_format="pyarrow").take_all()
     grid = cms_merge([np.frombuffer(r["grid"], dtype=np.int64)
                       .reshape(4, CMS_W) for r in parts])
@@ -5203,10 +5080,9 @@ def cms_point_frequency(sf_dir: str) -> pd.DataFrame:
               .iloc[10:20].reset_index(drop=True))
     est = cms_query(grid, np.asarray(
         fnv1a64(pa.array(probes["term"].tolist(), pa.string()))))
-    true = probes["n_exact"].astype("int64").to_numpy()
+    true = probes["n_exact"].to_numpy()
     bound = 20 * n_total // CMS_W
     probes["cms_ok"] = (est >= true) & (est <= true + bound)
-    probes["n_exact"] = probes["n_exact"].astype("int64")
     return probes[["term", "n_exact", "cms_ok"]]
 
 
@@ -5369,8 +5245,8 @@ def _daily_pipeline_body(pcfg0, pcfg1, ccfg, wd_a, wd_b, sdir
 
     def partials(sign: int):
         def fn(t: pa.Table) -> pa.Table:
-            cents = np.round(t["price_amount"].to_numpy()
-                             * 100).astype(np.int64) * sign
+            cents = pc.fill_null(scaled(t["price_amount"], 100),
+                                 0).to_numpy() * sign
             ch = np.array([zlib.crc32(c.encode()) for c in
                            t["city"].to_pylist()], dtype=np.int64)
             g = pa.table({"city_hash": ch, "city": t["city"],
@@ -5405,8 +5281,10 @@ def _daily_pipeline_body(pcfg0, pcfg1, ccfg, wd_a, wd_b, sdir
 
     # invariant: the maintained view equals a from-scratch aggregate of
     # day 1's complete offer table
-    full = res_b.table("offers").to_pandas()
-    full["s"] = np.round(full["price_amount"] * 100).astype(np.int64)
+    offers = res_b.table("offers")
+    full = offers.to_pandas()
+    full["s"] = pc.fill_null(scaled(offers["price_amount"], 100),
+                             0).to_numpy()
     want = (full.groupby("city", as_index=False)
             .agg(n=("url", "size"), s=("s", "sum")))
     got = out[["city", "n", "s"]].sort_values("city").reset_index(drop=True)
@@ -5726,36 +5604,16 @@ def users_intersect_except(sf_dir: str) -> pd.DataFrame:
     every type and the result degenerates to empty). The day window is
     a pyarrow ts-range filter pushed into the fragment scan."""
     import datetime
-    from ray.data.aggregate import Max
     lo = datetime.datetime(2024, 1, 3)
     hi = datetime.datetime(2024, 1, 4)
     ds = _pq(sf_dir, "events", ["user_id", "event_type"],
              filter=((pc.field("ts") >= lo) & (pc.field("ts") < hi)))
 
-    def flags(t: pa.Table) -> pa.Table:
-        et = t["event_type"]
-        g = pa.table({
-            "user_id": t["user_id"],
-            "v": pc.cast(pc.equal(et, "view"), pa.int64()),
-            "c": pc.cast(pc.equal(et, "click"), pa.int64()),
-            "p": pc.cast(pc.equal(et, "purchase"), pa.int64())}) \
-            .group_by("user_id") \
-            .aggregate([("v", "max"), ("c", "max"), ("p", "max")])
-        return g.rename_columns(["user_id", "v", "c", "p"])
-
-    out = (ds.map_batches(flags, batch_format="pyarrow")
-           .groupby("user_id")
-           .aggregate(Max("v", alias_name="v"), Max("c", alias_name="c"),
-                      Max("p", alias_name="p"))
-           .map_batches(lambda t: t.filter(
-               pc.and_(pc.and_(pc.equal(t["v"], 1), pc.equal(t["c"], 1)),
-                       pc.equal(t["p"], 0))).select(["user_id"]),
-               batch_format="pyarrow")
-           .to_pandas())
-    if out.empty:  # all-empty blocks lose the Arrow schema
-        return pd.DataFrame({"user_id": pd.Series([], dtype="int64")})
-    return (out.astype({"user_id": "int64"}).sort_values("user_id")
-            .reset_index(drop=True))
+    f = grouped(ds, ["user_id"], {
+        ty: (lambda t, ty=ty: pc.equal(t["event_type"], ty), "max")
+        for ty in ("view", "click", "purchase")})
+    out = f.loc[f["view"] & f["click"] & ~f["purchase"], ["user_id"]]
+    return out.sort_values("user_id").reset_index(drop=True)
 
 
 _STRAGG_SQL = """
@@ -5861,13 +5719,9 @@ def funnel_conversion(sf_dir: str) -> pd.DataFrame:
                  per_user["tc"].is_not_null().sum(),
                  per_user["tp"].is_not_null().sum()], np.int64)})
 
-    parts = exchange(ds, "user_id", stages, _WINDOW_BUCKETS)
-    out = (parts.groupby(["stage", "stage_idx"])
-           .aggregate(Sum("n_users", alias_name="n_users")).to_pandas())
-    out["stage_idx"] = out["stage_idx"].astype("int64")
-    out["n_users"] = out["n_users"].astype("int64")
-    return (out.sort_values("stage_idx").reset_index(drop=True)
-            [["stage", "stage_idx", "n_users"]])
+    out = grouped(exchange(ds, "user_id", stages, _WINDOW_BUCKETS),
+                  ["stage", "stage_idx"], {"n_users": ("n_users", "sum")})
+    return out.sort_values("stage_idx").reset_index(drop=True)
 
 
 _RETENTION_SQL = """
@@ -5908,14 +5762,11 @@ def retention_cohorts(sf_dir: str) -> pd.DataFrame:
              .group_by(["d0", "day_offset"]).len().rename({"len": "n"}))
         return g.to_arrow()
 
-    parts = exchange(ds, "user_id", cohort, _WINDOW_BUCKETS)
-    out = (parts.groupby(["d0", "day_offset"])
-           .aggregate(Sum("n", alias_name="n_users")).to_pandas())
+    out = grouped(exchange(ds, "user_id", cohort, _WINDOW_BUCKETS),
+                  ["d0", "day_offset"], {"n_users": ("n", "sum")})
     # epoch-day → ISO date string, matching the oracle's VARCHAR cast
     out["cohort_day"] = (pd.to_datetime(out["d0"], unit="D")
                          .dt.strftime("%Y-%m-%d"))
-    out["day_offset"] = out["day_offset"].astype("int64")
-    out["n_users"] = out["n_users"].astype("int64")
     return (out.sort_values(["cohort_day", "day_offset"])
             .reset_index(drop=True)
             [["cohort_day", "day_offset", "n_users"]])
@@ -5946,25 +5797,8 @@ def events_cube_counts(sf_dir: str) -> pd.DataFrame:
     leaf table (domain-sized, |types|·7 rows), never from the base
     table, so the cube costs exactly one shuffle like the ROLLUP twin."""
     ds = _pq(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partials(t: pa.Table) -> pa.Table:
-        days = (t["ts"].to_numpy().astype("datetime64[us]")
-                .astype(np.int64) // 86_400_000_000)
-        # epoch day 0 = 1970-01-01, a Thursday; DuckDB dayofweek:
-        # Sunday=0 — (day + 4) % 7 lands Thursday on 4
-        dow = (days + 4) % 7
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
-        g = pa.table({"event_type": t["event_type"], "dow": dow,
-                      "n": np.ones(len(t), np.int64), "s": cents}) \
-            .group_by(["event_type", "dow"]) \
-            .aggregate([("n", "sum"), ("s", "sum")])
-        return g.rename_columns(["event_type", "dow", "n", "s"])
-
-    leaf = (ds.map_batches(partials, batch_format="pyarrow")
-            .groupby(["event_type", "dow"])
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("s", alias_name="cents_sum"))
-            .to_pandas())
+    leaf = grouped(ds, {"event_type": "event_type", "dow": _dow},
+                   {"n": (None, "count"), "cents_sum": (_cents, "sum")})
     levels = [leaf]
     for keys in (["event_type"], ["dow"], []):
         lv = (leaf.groupby(keys, as_index=False)[["n", "cents_sum"]].sum()
@@ -6005,24 +5839,10 @@ def events_unpivot_metrics(sf_dir: str) -> pd.DataFrame:
     melted back to (event_type, metric, val) rows. The melt itself is a
     constant-factor row replication of a domain-sized table — the only
     data-sized work is the combiner-first leaf aggregate."""
-    from ray.data.aggregate import Max
     ds = _pq(sf_dir, "events", ["event_type", "value"])
-
-    def partials(t: pa.Table) -> pa.Table:
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
-        g = pa.table({"event_type": t["event_type"],
-                      "n": np.ones(len(t), np.int64),
-                      "s": cents, "mx": cents}) \
-            .group_by("event_type") \
-            .aggregate([("n", "sum"), ("s", "sum"), ("mx", "max")])
-        return g.rename_columns(["event_type", "n", "s", "mx"])
-
-    agg = (ds.map_batches(partials, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n_events"),
-                      Sum("s", alias_name="cents_sum"),
-                      Max("mx", alias_name="cents_max"))
-           .to_pandas())
+    agg = grouped(ds, ["event_type"], {"n_events": (None, "count"),
+                                       "cents_sum": (_cents, "sum"),
+                                       "cents_max": (_cents, "max")})
     out = agg.melt(id_vars=["event_type"],
                    value_vars=["n_events", "cents_sum", "cents_max"],
                    var_name="metric", value_name="val")
@@ -6068,17 +5888,8 @@ def events_mad_outliers(sf_dir: str) -> pd.DataFrame:
     never data rows; the histogram fold is driver-side because it IS
     the domain-sized result."""
     ds = _pq(sf_dir, "events", ["event_type", "value"])
-
-    def hist(t: pa.Table) -> pa.Table:
-        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
-        return (pa.table({"event_type": t["event_type"], "cents": cents,
-                          "n": np.ones(len(t), np.int64)})
-                .group_by(["event_type", "cents"]).aggregate([("n", "sum")])
-                .rename_columns(["event_type", "cents", "n"]))
-
-    h = (ds.map_batches(hist, batch_format="pyarrow")
-         .groupby(["event_type", "cents"])
-         .aggregate(Sum("n", alias_name="n")).to_pandas())
+    h = grouped(ds, {"event_type": "event_type", "cents": _cents},
+                {"n": (None, "count")})
 
     def median2_from_counts(vals: np.ndarray, cnt: np.ndarray) -> int:
         """2·median of the multiset {vals repeated cnt times} — exact
@@ -6156,15 +5967,13 @@ def events_transition_matrix(sf_dir: str) -> pd.DataFrame:
               .agg(pl.len().cast(pl.Int64).alias("n")))
         return df.to_arrow()
 
-    part = (exchange(ds, "user_id", transitions, _WINDOW_BUCKETS)
-            .groupby(["event_type", "next_type"])
-            .aggregate(Sum("n", alias_name="n_pairs")).to_pandas())
+    part = grouped(exchange(ds, "user_id", transitions, _WINDOW_BUCKETS),
+                   ["event_type", "next_type"], {"n_pairs": ("n", "sum")})
     # row-normalize on the driver: the matrix is |types|²-sized
-    tot = part.groupby("event_type")["n_pairs"].transform("sum")
-    part["p_next"] = part["n_pairs"].astype(np.int64) / tot.astype(np.int64)
+    part["p_next"] = (part["n_pairs"]
+                      / part.groupby("event_type")["n_pairs"].transform("sum"))
     out = part.rename(columns={"event_type": "prev_type"})
     return (out[["prev_type", "next_type", "n_pairs", "p_next"]]
-            .astype({"n_pairs": "int64"})
             .sort_values(["prev_type", "next_type"]).reset_index(drop=True))
 
 
@@ -6291,17 +6100,10 @@ def documents_profile(sf_dir: str) -> pd.DataFrame:
         u = pa.concat_tables(outs)
         return u.group_by(["col_id", "h1", "h2"]).aggregate([])
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        return (pa.table({"col_id": t["col_id"],
-                          "one": np.ones(len(t), np.int64)})
-                .group_by("col_id").aggregate([("one", "sum")])
-                .rename_columns(["col_id", "nd"]))
-
-    nd = (ds.map_batches(distinct_partial, batch_format="pyarrow")
-          .groupby(["col_id", "h1", "h2"]).aggregate(Count(alias_name="_c"))
-          .map_batches(count_partial, batch_format="pyarrow")
-          .groupby("col_id").aggregate(Sum("nd", alias_name="n_distinct"))
-          .to_pandas())
+    nd = grouped(ds.map_batches(distinct_partial, batch_format="pyarrow")
+                 .groupby(["col_id", "h1", "h2"])
+                 .aggregate(Count(alias_name="_c")),
+                 ["col_id"], {"n_distinct": (None, "count")})
     nd["col"] = nd["col_id"].map(dict(enumerate(cols)))
 
     out = stats.merge(nd[["col", "n_distinct"]], on="col", how="left")
@@ -6484,27 +6286,16 @@ def lineitem_zorder_stats(sf_dir: str) -> pd.DataFrame:
     ms = _col_max_from_stats(sf_dir, "lineitem", "l_suppkey")
     ds = _pq(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def zb(t: pa.Table) -> np.ndarray:
         pk = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        z = morton_key(pk * 65536 // (mp + 1), sk * 65536 // (ms + 1))
-        p = pa.table({"zb": z_bucket(z),
-                      "pk": t["l_partkey"], "sk": t["l_suppkey"],
-                      "one": np.ones(len(t), np.int64)})
-        return (p.group_by("zb").aggregate(
-            [("one", "sum"), ("pk", "min"), ("pk", "max"),
-             ("sk", "min"), ("sk", "max")])
-            .rename_columns(["zb", "n", "min_part", "max_part",
-                             "min_supp", "max_supp"]))
+        return z_bucket(morton_key(pk * 65536 // (mp + 1),
+                                   sk * 65536 // (ms + 1)))
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("zb")
-           .aggregate(Sum("n", alias_name="n"),
-                      Min("min_part", alias_name="min_part"),
-                      Max("max_part", alias_name="max_part"),
-                      Min("min_supp", alias_name="min_supp"),
-                      Max("max_supp", alias_name="max_supp"))
-           .to_pandas())
+    out = grouped(ds, {"zb": zb}, {
+        "n": (None, "count"),
+        "min_part": ("l_partkey", "min"), "max_part": ("l_partkey", "max"),
+        "min_supp": ("l_suppkey", "min"), "max_supp": ("l_suppkey", "max")})
     return (out.astype({c: "int64" for c in out.columns})
             .sort_values("zb").reset_index(drop=True))
 
@@ -6551,7 +6342,7 @@ def events_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
     pair stream; everything downstream is |types|²-sized."""
     ds = _pq(sf_dir, "events", ["user_id", "event_type"])
 
-    def partials(t: pa.Table) -> pa.Table:
+    def basket_counts(t: pa.Table) -> pa.Table:
         u = (pl.from_arrow(t)
              .unique(subset=["user_id", "event_type"]))
         pairs = (u.join(u, on="user_id", suffix="_b")
@@ -6573,9 +6364,8 @@ def events_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
         return pl.concat([pairs.select(cols), supp.select(cols),
                           nu.select(cols)]).to_arrow()
 
-    agg = (exchange(ds, "user_id", partials, _WINDOW_BUCKETS)
-           .groupby(["kind", "type_a", "type_b"])
-           .aggregate(Sum("n", alias_name="n")).to_pandas())
+    agg = grouped(exchange(ds, "user_id", basket_counts, _WINDOW_BUCKETS),
+                  ["kind", "type_a", "type_b"], {"n": ("n", "sum")})
     n_users = int(agg.loc[agg["kind"] == 0, "n"].iloc[0])
     supp = dict(zip(agg.loc[agg["kind"] == 1, "type_a"],
                     agg.loc[agg["kind"] == 1, "n"].astype(np.int64)))
@@ -6735,9 +6525,8 @@ def waiting_suppliers(sf_dir: str) -> pd.DataFrame:
 
     flat = (orders.map_batches(o_rows, batch_format="pyarrow")
             .union(line.map_batches(l_rows, batch_format="pyarrow")))
-    counts = (exchange(flat, "okey", quantify, _WINDOW_BUCKETS)
-              .groupby("skey").aggregate(Sum("n", alias_name="numwait"))
-              .to_pandas())
+    counts = grouped(exchange(flat, "okey", quantify, _WINDOW_BUCKETS),
+                     ["skey"], {"numwait": ("n", "sum")})
     import pyarrow.parquet as pq
     sup = pq.read_table(
         os.path.join(sf_dir, "supplier.parquet"),
@@ -6761,6 +6550,12 @@ def waiting_suppliers(sf_dir: str) -> pd.DataFrame:
 
 _DIFF_CUT = "2024-01-16 00:00:00"
 _DIFF_CUT_US = 1_705_363_200_000_000  # 2024-01-16T00:00:00Z in epoch µs
+
+
+def _in_a(t: pa.Table) -> np.ndarray:
+    """1 for an event before the cut (snapshot a), else 0."""
+    return (_epoch_us(t) < _DIFF_CUT_US).astype(np.int64)
+
 
 _DIFF_SQL = f"""
 WITH a AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n,
@@ -6796,26 +6591,10 @@ def user_profile_diff(sf_dir: str) -> pd.DataFrame:
     table versions (tag rows by version at the read, one exchange).
     All-int64 profile columns; hash-exact."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64())
-        in_a = pc.less(us, pa.scalar(_DIFF_CUT_US, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0)), pa.int64())
-        a64 = pc.cast(in_a, pa.int64())
-        b64 = pc.subtract(pa.scalar(1, pa.int64()), a64)
-        p = pa.table({"user_id": t["user_id"], "n_a": a64, "n_b": b64,
-                      "ca": pc.multiply(cents, a64),
-                      "cb": pc.multiply(cents, b64)})
-        return p.group_by("user_id").aggregate(
-            [("n_a", "sum"), ("n_b", "sum"), ("ca", "sum"), ("cb", "sum")])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("user_id")
-           .aggregate(Sum("n_a_sum", alias_name="n_a"),
-                      Sum("n_b_sum", alias_name="n_b"),
-                      Sum("ca_sum", alias_name="ca"),
-                      Sum("cb_sum", alias_name="cb"))
-           .to_pandas())
+    out = grouped(ds, ["user_id"], {
+        "n_a": (_in_a, "sum"), "n_b": (lambda t: 1 - _in_a(t), "sum"),
+        "ca": (lambda t: _cents(t).to_numpy() * _in_a(t), "sum"),
+        "cb": (lambda t: _cents(t).to_numpy() * (1 - _in_a(t)), "sum")})
     na, nb = out["n_a"].to_numpy(), out["n_b"].to_numpy()
     cls = np.where(na == 0, "added",
                    np.where(nb == 0, "removed",
@@ -6867,22 +6646,8 @@ def events_grid_hotspots(sf_dir: str) -> pd.DataFrame:
     events feed it. The SQL recomputes the stencil as an 8-offset
     self-join. All-int64 counts; hash-exact."""
     ds = _pq(sf_dir, "events", ["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        gx = us // 86_400_000_000
-        gy = (us // 3_600_000_000) % 24
-        p = pa.table({"gx": gx, "gy": gy,
-                      "one": np.ones(len(us), np.int64)})
-        # rename by NAME, not position: pyarrow's keys-first aggregate
-        # column order changed across versions (dict rename needs >=17)
-        g = p.group_by(["gx", "gy"]).aggregate([("one", "sum")])
-        return g.rename_columns(
-            ["n" if c == "one_sum" else c for c in g.column_names])
-
-    cells = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["gx", "gy"]).aggregate(Sum("n", alias_name="n"))
-             .to_pandas())
+    cells = grouped(ds, {"gx": _day_id, "gy": lambda t: _hour_id(t) % 24},
+                    {"n": (None, "count")})
     gx = cells["gx"].to_numpy(np.int64)
     gy = cells["gy"].to_numpy(np.int64)
     n = cells["n"].to_numpy(np.int64)
@@ -7107,23 +6872,10 @@ def events_value_psi(sf_dir: str) -> pd.DataFrame:
     scale."""
     import math
     ds = _pq(sf_dir, "events", ["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0)),
-                        pa.int64()).to_numpy(zero_copy_only=False)
-        b = np.clip(cents // 1000, -1, 9)
-        in_a = (us < _DIFF_CUT_US).astype(np.int64)
-        p = pa.table({"bin": b, "n_a": in_a, "n_b": 1 - in_a})
-        return (p.group_by("bin")
-                .aggregate([("n_a", "sum"), ("n_b", "sum")])
-                .rename_columns(["bin", "n_a", "n_b"]))
-
-    got = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("bin")
-           .aggregate(Sum("n_a", alias_name="n_a"),
-                      Sum("n_b", alias_name="n_b"))
-           .to_pandas().set_index("bin"))
+    got = grouped(
+        ds, {"bin": lambda t: np.clip(_cents(t).to_numpy() // 1000, -1, 9)},
+        {"n_a": (_in_a, "sum"), "n_b": (lambda t: 1 - _in_a(t), "sum")}
+    ).set_index("bin")
     k = len(_PSI_BINS)
     n_a = np.array([int(got["n_a"].get(b, 0)) for b in _PSI_BINS])
     n_b = np.array([int(got["n_b"].get(b, 0)) for b in _PSI_BINS])
@@ -7258,39 +7010,18 @@ def events_cusum_alarm(sf_dir: str) -> pd.DataFrame:
     the closed form S_t = R_t − min(0, min_{{j≤t}} R_j) — identical
     integer algebra to the SQL window form."""
     ds = _pq(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // 86_400_000_000
-        p = pa.table({"event_type": t["event_type"], "day_id": day})
-        return p.group_by(["event_type", "day_id"]).aggregate(
-            [([], "count_all")])
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["event_type", "day_id"])
-             .aggregate(Sum("count_all", alias_name="n"))
-             .to_pandas()
-             .sort_values(["event_type", "day_id"])
-             .reset_index(drop=True))
-    out_rows = []
-    for et, g in daily.groupby("event_type", sort=True):
-        n = g["n"].to_numpy().astype(np.int64)
-        kk = int(math_ceil_div_mean(n))
-        rs = np.cumsum(n - kk)
-        runmin = np.minimum.accumulate(rs)
-        cusum = rs - np.minimum(0, runmin)
-        for d, nn, s in zip(g["day_id"], n, cusum):
-            out_rows.append({"event_type": et, "day_id": int(d),
-                             "n": int(nn), "cusum": int(s),
-                             "alarm": bool(s >= _CUSUM_H)})
-    return pd.DataFrame(out_rows)
-
-
-def math_ceil_div_mean(n: np.ndarray) -> int:
-    """⌈mean⌉ in exact integer arithmetic (no float AVG drift):
-    ceil(sum/len) = (sum + len − 1) // len for positive counts —
-    matches SQL CEIL(AVG(n)) on integer inputs."""
-    return (int(n.sum()) + len(n) - 1) // len(n)
+    daily = (grouped(ds, {"event_type": "event_type", "day_id": _day_id},
+                     {"n": (None, "count")})
+             .sort_values(["event_type", "day_id"]).reset_index(drop=True))
+    by_type = daily.groupby("event_type")["n"]
+    # k = ⌈mean⌉ in exact integers: (sum + len − 1) // len, the oracle's
+    # CEIL(AVG(n)) without float drift
+    size = by_type.transform("size")
+    rs = (daily["n"] - (by_type.transform("sum") + size - 1) // size
+          ).groupby(daily["event_type"]).cumsum()
+    cusum = rs - np.minimum(0, rs.groupby(daily["event_type"]).cummin())
+    return daily.assign(cusum=cusum.astype(np.int64),
+                        alarm=cusum >= _CUSUM_H)
 
 
 # ---------------------------------------------------------------------------
@@ -7651,11 +7382,8 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
     from zero like the oracle's ROUND."""
 
     def log_partial(t: pa.Table) -> pa.Table:
-        df = (pl.from_arrow(t)
-              .with_columns(pl.col("ts").cast(pl.Int64),
-                            (pl.col("value") * 100)
-                            .round(0, mode="half_away_from_zero")
-                            .cast(pl.Int64).alias("v"))
+        df = (pl.from_arrow(t.append_column("v", _cents(t)))
+              .with_columns(pl.col("ts").cast(pl.Int64))
               .sort(["user_id", "ts", "event_id"],
                     descending=[False, True, True])
               .group_by("user_id", maintain_order=True).first())
@@ -7670,9 +7398,7 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
     def base_rows(t: pa.Table) -> pa.Table:
         k = pc.cast(t["c_custkey"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        v = pc.cast(pc.round(pc.multiply(t["c_acctbal"], 100.0),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False)
+        v = scaled(t["c_acctbal"], 100).to_numpy(zero_copy_only=False)
         n = len(k)
         return pa.table({
             "key": k, "is_base": np.ones(n, bool),
@@ -7818,18 +7544,8 @@ def events_chi2_independence(sf_dir: str) -> pd.DataFrame:
     dow = (epoch_days + 4) mod 7."""
     import math
     ds = _pq(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        dow = ((us // 86_400_000_000 + 4) % 7).astype(np.int64)
-        p = pa.table({"event_type": t["event_type"], "dow": dow})
-        return (p.group_by(["event_type", "dow"])
-                .aggregate([([], "count_all")]))
-
-    cells = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["event_type", "dow"])
-             .aggregate(Sum("count_all", alias_name="n"))
-             .to_pandas())
+    cells = grouped(ds, {"event_type": "event_type", "dow": _dow},
+                    {"n": (None, "count")})
     rt = cells.groupby("event_type")["n"].sum()
     ct = cells.groupby("dow")["n"].sum()
     tot = int(cells["n"].sum())
@@ -7914,8 +7630,7 @@ def events_late_arrivals(sf_dir: str) -> pd.DataFrame:
 
     # pass 1: per-range max event time -> exclusive prefix max (driver,
     # range-scale: ranges are bounded by the calendar, not the data)
-    rng_max = (ds.groupby("rng").aggregate(Max("ts_us", alias_name="mx"))
-               .to_pandas().sort_values("rng"))
+    rng_max = grouped(ds, ["rng"], {"mx": ("ts_us", "max")}).sort_values("rng")
     carry: dict[int, int] = {}
     run = -(1 << 62)
     for r in rng_max.itertuples():
@@ -7940,11 +7655,9 @@ def events_late_arrivals(sf_dir: str) -> pd.DataFrame:
                .agg(pl.col("late").sum().cast(pl.Int64).alias("n")))
         return out.to_arrow()
 
-    got = (ds.groupby("rng").map_groups(late, batch_format="pyarrow")
-           .groupby("event_type").aggregate(Sum("n", alias_name="n_late"))
-           .to_pandas())
-    got = got[got["n_late"] > 0]
-    return (got.astype({"n_late": "int64"})
+    got = grouped(ds.groupby("rng").map_groups(late, batch_format="pyarrow"),
+                  ["event_type"], {"n_late": ("n", "sum")})
+    return (got[got["n_late"] > 0]
             .sort_values("event_type").reset_index(drop=True))
 
 

@@ -113,14 +113,15 @@ def test_exchange_empty_dataset(ray_session):
 
 _PKG = pathlib.Path(__file__).resolve().parent.parent / "realestate_scraper_ray"
 
-# the only places a raw hash constant, a version-dependent polars hash
-# or a bucket shuffle may live: the splitmix64 / MinHash kernels, the
-# crawl's host salt (not an exchange — it only spreads one host's URLs)
-# and the exchange itself
+# the only places a raw hash constant, a bucket shuffle or a value
+# rounding may live: the splitmix64 / MinHash kernels, the exchange and
+# the aggregate primitive's one money-scaling rule. No version-dependent
+# polars hash is allowed anywhere.
 _ALLOWED = {
     "0x9E3779B97F4A7C15": {"functions/sketches.py", "functions/textstats.py"},
-    "hash(seed=": {"pipelines/crawl.py"},
+    "hash(seed=": set(),
     'groupby("_bkt")': {"stages/exchange.py"},
+    "pc.round(": {"stages/aggregate.py"},
 }
 
 
@@ -134,4 +135,14 @@ def test_no_other_bucket_hash_family(needle):
                 hits.append(f"{rel}:{i}")
     assert not hits, f"{needle!r} outside its allowed files: {hits}"
     crawl = (_PKG / "pipelines/crawl.py").read_text()
-    assert crawl.count("hash(seed=") <= 1
+    assert crawl.count("hash(seed=") == 0
+
+
+def test_relational_rounds_only_through_scaled():
+    """Every money/value scaling in the query catalog goes through
+    ``stages/aggregate.scaled``; the one ``np.round`` left rounds a
+    km distance for display (``crawl_reverse_geocode``)."""
+    lines = (_PKG / "pipelines/relational.py").read_text().splitlines()
+    hits = [i for i, line in enumerate(lines, 1) if "np.round(" in line]
+    assert len(hits) == 1, hits
+    assert "exp_dist" in lines[hits[0] - 1]

@@ -58,3 +58,13 @@ def test_bucket_handles_odd_urls_and_matches_host_of():
     got = _host_buckets(pa.array(urls, pa.string()), cfg)
     want = [zlib.crc32(host_of(u).encode()) % 256 for u in urls]
     assert list(got) == want
+
+
+def test_salted_bucket_ids_pinned():
+    """The per-URL salt is ``exchange.bucket_of`` (FNV-1a + splitmix64),
+    so these ids hold across library upgrades: on-disk validator shards
+    keyed by them stay readable."""
+    p = Portal(PortalConfig())
+    urls = pa.array([p.offer_url("otodom", "pomorskie", k) for k in range(6)])
+    assert _host_buckets(urls, CrawlConfig()).tolist() == [115, 115, 108,
+                                                           113, 110, 114]

@@ -7,6 +7,7 @@ Usage: python tools/check_correctness.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -32,10 +33,20 @@ def value_hash(df: pd.DataFrame) -> str:
     return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
 
 
+# the checkout this file lives in — the code under test, for the
+# driver and for Ray's workers alike
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+    sf_dir = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
+                             else "/root/testdata/sf0.01")
     only = set(sys.argv[2:])
 
+    # Ray workers put the driver's working directory first on their
+    # sys.path, so a run started elsewhere would mix two checkouts
+    os.chdir(ROOT)
+    sys.path.insert(0, ROOT)
     import ray
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
@@ -44,7 +55,6 @@ def main() -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     qs, sqls = entrymod.queries(), entrymod.oracle_sql()
