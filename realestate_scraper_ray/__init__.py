@@ -21,9 +21,8 @@ Layout:
 
 __version__ = "0.1.0"
 
-# Driver-materialization gate: every Dataset.to_pandas in the engine
-# (and in queries built on it) is bounded by default — a data-sized
-# result raises instead of silently materializing (driverbound.py).
-from . import driverbound as _driverbound  # noqa: E402
-
-_driverbound.install()
+# Nothing else is imported here: a URL-seen or politeness actor process
+# unpickles its class from ``state/`` and must not pay for ``ray.data``.
+# The driver-materialization gate (driverbound.py) is installed by the
+# ``pipelines``, ``stages`` and ``functions`` packages, where every engine
+# ``Dataset.to_pandas`` lives.

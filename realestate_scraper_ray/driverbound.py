@@ -21,7 +21,10 @@ explicit, reviewed bound.
 
 The gate covers every present AND future ``to_pandas`` in the engine —
 stronger than routing each call site by hand, and zero churn across the
-~117 existing sites. Installed once from the package ``__init__``.
+~117 existing sites. Importing this module installs it; the
+``pipelines``, ``stages`` and ``functions`` packages import it, so the
+gate is in place wherever an engine ``to_pandas`` can run. The package
+root and ``state/`` do not: service actors boot without ``ray.data``.
 """
 
 from __future__ import annotations
@@ -78,3 +81,6 @@ def to_driver(ds: rd.Dataset, bound: int = DRIVER_BOUND_ROWS):
     legitimately larger than the default: the bound is stated (and
     reviewed) at the call site instead of silently disabled."""
     return ds.to_pandas(limit=bound)
+
+
+install()

@@ -491,11 +491,6 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
     offers converge to what an unfailed run produces."""
     portal = Portal(portal_cfg)
     cfg = crawl_cfg
-    urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity)
-    politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
-                                   cfg.politeness_burst,
-                                   cfg.backoff_factor,
-                                   cfg.backoff_cap_mult)
     run_token = uuid.uuid4().hex[:12]  # keys warm-worker stage caches per run
 
     state: dict[tuple[str, str], RegionState] = {
@@ -508,8 +503,9 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
         raise ValueError("validators_from must point at a DIFFERENT "
                          "workdir than the revisit's own")
     marker = os.path.join(workdir, "revisit.json")
+    headroom, chain = None, None
     if resume:
-        gen = _restore_checkpoint(workdir, state, urlseen, politeness)
+        gen, headroom, chain = _restore_checkpoint(workdir, state)
         if cfg.validators_from is None and os.path.exists(marker):
             # the original run was a revisit: restore validators_from so
             # the resumed run's fetch still 304s and — critically — the
@@ -518,76 +514,92 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
             # would otherwise silently lose every 304-carried row)
             with open(marker) as f:
                 cfg = replace(cfg, validators_from=json.load(f)["from"])
-        _check_validator_source(cfg)
-        _clean_partial(workdir, gen)
-        _append_retry_rows(portal, state, _frontier_dir(workdir, gen), cfg,
-                           workdir)
-    else:
-        _check_validator_source(cfg)
-        for name in GEN_TABLES + ("frontier", "checkpoint"):
-            shutil.rmtree(os.path.join(workdir, name), ignore_errors=True)
-        os.makedirs(workdir, exist_ok=True)
-        if cfg.validators_from:
-            with open(marker, "w") as f:
-                json.dump({"from": cfg.validators_from}, f)
-        elif os.path.exists(marker):
-            os.unlink(marker)
-        if cfg.validators or cfg.validators_from:
-            # layout marker + the partition params a future revisit
-            # needs to recompute each URL's validator shard (survives
-            # _clean_partial: that only removes gen-* dirs)
-            vroot = os.path.join(workdir, "validators")
-            os.makedirs(vroot, exist_ok=True)
-            with open(os.path.join(vroot, "meta.json"), "w") as f:
-                json.dump({"host_buckets": cfg.host_buckets,
-                           "skew_salts": [list(p) for p in cfg.skew_salts]},
-                          f)
-        gen = 0
-        d = _frontier_dir(workdir, 0)
-        os.makedirs(d)
-        # small row groups: read_parquet can only split at row-group
-        # granularity, and the seed wave must fan out across workers
-        # (one row group would pin generation 0 to a single task)
-        pq.write_table(_seed_table(portal, cfg),
-                       os.path.join(d, "part-p0-seeds.parquet"),
-                       row_group_size=8)
+    _check_validator_source(cfg)
+    # the service actors start only after every check that can raise
+    # (the URL-seen shard count is checked before its first actor), and
+    # boot, each restoring its own checkpoint state, while the driver
+    # prepares the first wave's frontier
+    urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity,
+                             restore_from=chain)
+    politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
+                                   cfg.politeness_burst,
+                                   cfg.backoff_factor,
+                                   cfg.backoff_cap_mult, headroom=headroom)
+    try:
+        if resume:
+            _clean_partial(workdir, gen)
+            _append_retry_rows(portal, state, _frontier_dir(workdir, gen),
+                               cfg, workdir)
+        else:
+            for name in GEN_TABLES + ("frontier", "checkpoint"):
+                shutil.rmtree(os.path.join(workdir, name), ignore_errors=True)
+            os.makedirs(workdir, exist_ok=True)
+            if cfg.validators_from:
+                with open(marker, "w") as f:
+                    json.dump({"from": cfg.validators_from}, f)
+            elif os.path.exists(marker):
+                os.unlink(marker)
+            if cfg.validators or cfg.validators_from:
+                # layout marker + the partition params a future revisit
+                # needs to recompute each URL's validator shard (survives
+                # _clean_partial: that only removes gen-* dirs)
+                vroot = os.path.join(workdir, "validators")
+                os.makedirs(vroot, exist_ok=True)
+                with open(os.path.join(vroot, "meta.json"), "w") as f:
+                    json.dump({"host_buckets": cfg.host_buckets,
+                               "skew_salts": [list(p) for p in cfg.skew_salts]},
+                              f)
+            gen = 0
+            d = _frontier_dir(workdir, 0)
+            os.makedirs(d)
+            # small row groups: read_parquet can only split at row-group
+            # granularity, and the seed wave must fan out across workers
+            # (one row group would pin generation 0 to a single task)
+            pq.write_table(_seed_table(portal, cfg),
+                           os.path.join(d, "part-p0-seeds.parquet"),
+                           row_group_size=8)
 
-    retries_left = retry_rounds
-    last_ckpt = -1
-    ckpt_idx = 0
-    while True:
-        if _frontier_rows(workdir, gen) == 0:
-            if retries_left > 0:
-                os.makedirs(_frontier_dir(workdir, gen), exist_ok=True)
-                _append_retry_rows(portal, state, _frontier_dir(workdir, gen),
-                                   cfg, workdir)
-                if _frontier_rows(workdir, gen) == 0:
+        retries_left = retry_rounds
+        last_ckpt = -1
+        ckpt_idx = 0
+        while True:
+            if _frontier_rows(workdir, gen) == 0:
+                if retries_left > 0:
+                    os.makedirs(_frontier_dir(workdir, gen), exist_ok=True)
+                    _append_retry_rows(portal, state, _frontier_dir(workdir, gen),
+                                       cfg, workdir)
+                    if _frontier_rows(workdir, gen) == 0:
+                        break
+                    retries_left -= 1
+                else:
                     break
-                retries_left -= 1
-            else:
-                break
-        try:
-            _run_wave(portal, cfg, workdir, gen, urlseen, politeness, state,
-                      run_token)
-        except Exception as e:
-            raise RuntimeError(
-                f"wave {gen} failed mid-execution (worker death or task "
-                "error); URL-seen admissions may be partial — re-run with "
-                "resume=True to replay from the last checkpoint "
-                "(replace-on-retry is idempotent)") from e
-        # checkpoint interval: skipped waves re-run deterministically on
-        # resume (replace-on-retry), trading a little recompute for less
-        # per-wave filter-dump I/O
-        if (gen + 1) % cfg.checkpoint_every == 0:
-            _write_checkpoint(workdir, gen, state, urlseen, politeness,
-                              full=ckpt_idx % cfg.checkpoint_full_every == 0)
-            ckpt_idx += 1
-            last_ckpt = gen
-        gen += 1
-        if stop_after_generations is not None and gen >= stop_after_generations:
-            break  # simulated kill: checkpoint durable, work abandoned
-    if gen > 0 and last_ckpt != gen - 1 and stop_after_generations is None:
-        _write_checkpoint(workdir, gen - 1, state, urlseen, politeness)  # durable terminal state
+            try:
+                _run_wave(portal, cfg, workdir, gen, urlseen, politeness, state,
+                          run_token)
+            except Exception as e:
+                raise RuntimeError(
+                    f"wave {gen} failed mid-execution (worker death or task "
+                    "error); URL-seen admissions may be partial — re-run with "
+                    "resume=True to replay from the last checkpoint "
+                    "(replace-on-retry is idempotent)") from e
+            # checkpoint interval: skipped waves re-run deterministically on
+            # resume (replace-on-retry), trading a little recompute for less
+            # per-wave filter-dump I/O
+            if (gen + 1) % cfg.checkpoint_every == 0:
+                _write_checkpoint(workdir, gen, state, urlseen, politeness,
+                                  full=ckpt_idx % cfg.checkpoint_full_every == 0)
+                ckpt_idx += 1
+                last_ckpt = gen
+            gen += 1
+            if stop_after_generations is not None and gen >= stop_after_generations:
+                break  # simulated kill: checkpoint durable, work abandoned
+        if gen > 0 and last_ckpt != gen - 1 and stop_after_generations is None:
+            _write_checkpoint(workdir, gen - 1, state, urlseen, politeness)  # durable terminal state
+    finally:
+        # wave closures held by Ray Data plans keep both services alive
+        # until the garbage collector runs; end their actors now
+        urlseen.close()
+        politeness.close()
 
     if cfg.validators_from and stop_after_generations is None:
         _carry_not_modified(workdir, cfg.validators_from)
@@ -916,12 +928,15 @@ def _write_checkpoint(workdir: str, gen: int, state: dict,
                       urlseen: UrlSeenService,
                       politeness: "PolitenessService | None" = None,
                       full: bool = True) -> None:
-    """Atomic checkpoint commit. ``full`` dumps complete filter bytes;
-    otherwise only the keys admitted since the previous checkpoint
-    (incremental — at 10^10 keys full dumps are ~20 GB, deltas are
-    proportional to the wave's new URLs). Region state is always full
-    (tiny). Retention keeps everything back to the second-newest full
-    checkpoint so a delta chain is always restorable."""
+    """Atomic checkpoint commit. ``full`` has every URL-seen shard write
+    its complete filter; otherwise only the keys admitted since the
+    previous checkpoint (incremental — at 10^10 keys full dumps are
+    ~20 GB, deltas are proportional to the wave's new URLs). The shards
+    write their own files into the uncommitted ``.tmp-gen-G`` directory;
+    the driver renames it into place once all have written. Region state
+    is always full (tiny). Retention keeps everything back to the
+    second-newest full checkpoint so a delta chain is always
+    restorable."""
     root = os.path.join(workdir, "checkpoint")
     os.makedirs(root, exist_ok=True)
     tmp = os.path.join(root, f".tmp-gen-{gen}")
@@ -937,12 +952,7 @@ def _write_checkpoint(workdir: str, gen: int, state: dict,
     if politeness is not None:
         with open(os.path.join(tmp, "politeness.json"), "w") as f:
             json.dump(politeness.dump_headroom(), f)
-    sub = "filters" if full else "deltas"
-    blobs = urlseen.dump() if full else urlseen.dump_deltas()
-    os.makedirs(os.path.join(tmp, sub))
-    for i, blob in enumerate(blobs):
-        with open(os.path.join(tmp, sub, f"shard_{i}.bin"), "wb") as f:
-            f.write(blob)
+    urlseen.checkpoint(os.path.join(tmp, "filters" if full else "deltas"), full)
     final = gen_dir(workdir, "checkpoint", gen)
     shutil.rmtree(final, ignore_errors=True)
     os.replace(tmp, final)  # atomic commit: wave `gen` is durably done
@@ -959,16 +969,14 @@ def latest_checkpoint_gen(workdir: str) -> int | None:
     return int(gens[-1][0]) if gens else None
 
 
-def _read_shard_blobs(d: str) -> list[bytes]:
-    blobs = []
-    for i in range(len(os.listdir(d))):
-        with open(os.path.join(d, f"shard_{i}.bin"), "rb") as f:
-            blobs.append(f.read())
-    return blobs
-
-
-def _restore_checkpoint(workdir: str, state: dict, urlseen: UrlSeenService,
-                        politeness: "PolitenessService | None" = None) -> int:
+def _restore_checkpoint(workdir: str, state: dict
+                        ) -> tuple[int, dict | list, list[str]]:
+    """Read the newest checkpoint's region state into ``state``; returns
+    ``(generation to resume at, politeness headroom, URL-seen chain)``.
+    The chain is the newest full filter directory then the delta
+    directories after it, in order; the services load it themselves
+    (``UrlSeenService(restore_from=...)``), so nothing here talks to an
+    actor or reads filter bytes."""
     last = latest_checkpoint_gen(workdir)
     if last is None:
         raise FileNotFoundError(f"no checkpoint under {workdir}")
@@ -978,21 +986,21 @@ def _restore_checkpoint(workdir: str, state: dict, urlseen: UrlSeenService,
     for key, st in payload["regions"].items():
         s, r = key.split("|")
         state[(s, r)] = RegionState(**st)
+    headroom: dict | list = {}
     pol_path = os.path.join(gen_dir(workdir, "checkpoint", last), "politeness.json")
-    if politeness is not None and os.path.exists(pol_path):
+    if os.path.exists(pol_path):
         with open(pol_path) as f:
-            politeness.restore_headroom(json.load(f))
-    # filter state: newest full dump ≤ last, then replay delta chain
+            headroom = json.load(f)
+    # filter state: newest full dump ≤ last, then the delta chain
     gens = [(int(g), d) for g, d in _gen_dirs(root) if int(g) <= last]
     fulls = [(g, d) for g, d in gens if os.path.isdir(os.path.join(d, "filters"))]
     if not fulls:
         raise FileNotFoundError(f"no full filter checkpoint under {root}")
     base, base_dir = fulls[-1]
-    urlseen.restore(_read_shard_blobs(os.path.join(base_dir, "filters")))
-    for g, d in gens:
-        if g > base and os.path.isdir(os.path.join(d, "deltas")):
-            urlseen.apply_deltas(_read_shard_blobs(os.path.join(d, "deltas")))
-    return last + 1
+    chain = [os.path.join(base_dir, "filters")] + [
+        os.path.join(d, "deltas") for g, d in gens
+        if g > base and os.path.isdir(os.path.join(d, "deltas"))]
+    return last + 1, headroom, chain
 
 
 def _clean_partial(workdir: str, resume_gen: int) -> None:

@@ -85,40 +85,45 @@ def sitemap_crawl(portal_cfg: PortalConfig,
                                    cfg.politeness_burst,
                                    cfg.backoff_factor,
                                    cfg.backoff_cap_mult)
+    try:
+        entries = sitemap_entries(
+            lambda: Portal(portal_cfg).render_sitemap,
+            _index_rows(portal), min_lastmod=_min_lastmod(cfg))
+        frontier = frontier_from_sitemap(entries,
+                                         chunk_size=portal.SITEMAP_CHUNK)
 
-    entries = sitemap_entries(
-        lambda: Portal(portal_cfg).render_sitemap,
-        _index_rows(portal), min_lastmod=_min_lastmod(cfg))
-    frontier = frontier_from_sitemap(entries,
-                                     chunk_size=portal.SITEMAP_CHUNK)
+        def admit(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return t
+            mask = urlseen.filter_new(t["url"].combine_chunks())
+            return t.filter(pa.array(mask))
 
-    def admit(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        mask = urlseen.filter_new(t["url"].combine_chunks())
-        return t.filter(pa.array(mask))
+        # materialize: admission is a SIDE-EFFECTING stage (test-and-set
+        # against the URL-seen shards) — the two consumers below (fetch,
+        # urls table) must read the one executed result, not re-run it
+        admitted = (frontier.map_batches(admit, batch_format="pyarrow")
+                    .materialize())
 
-    # materialize: admission is a SIDE-EFFECTING stage (test-and-set
-    # against the URL-seen shards) — the two consumers below (fetch,
-    # urls table) must read the one executed result, not re-run it
-    admitted = (frontier.map_batches(admit, batch_format="pyarrow")
-                .materialize())
+        from ..stages.fetch import COMBINED_SCHEMA, make_fetch_fn
+        fetched = admitted.map_batches(
+            make_fetch_fn(portal_cfg, cfg, politeness),
+            batch_format="pyarrow", batch_size=cfg.fetch_batch_size)
 
-    from ..stages.fetch import COMBINED_SCHEMA, make_fetch_fn
-    fetched = admitted.map_batches(
-        make_fetch_fn(portal_cfg, cfg, politeness),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size)
-
-    from .crawl import OFFER_OUT_COLS, PHOTO_OUT_COLS, urls_of
-    combined = pa.Table.from_pylist(fetched.take_all(), schema=COMBINED_SCHEMA)
-    offers = (combined.filter(pc.equal(combined["rec_kind"], "offer"))
-              .select(OFFER_OUT_COLS))
-    photos = (combined.filter(pc.equal(combined["rec_kind"], "photo"))
-              .select(PHOTO_OUT_COLS))
-    adm = pa.Table.from_pylist(admitted.take_all())
-    return SitemapCrawlResult(
-        offers=offers, photos=photos, urls=urls_of(adm, kind="offer"),
-        n_entries=int(entries.count()), n_admitted=adm.num_rows)
+        from .crawl import OFFER_OUT_COLS, PHOTO_OUT_COLS, urls_of
+        combined = pa.Table.from_pylist(fetched.take_all(), schema=COMBINED_SCHEMA)
+        offers = (combined.filter(pc.equal(combined["rec_kind"], "offer"))
+                  .select(OFFER_OUT_COLS))
+        photos = (combined.filter(pc.equal(combined["rec_kind"], "photo"))
+                  .select(PHOTO_OUT_COLS))
+        adm = pa.Table.from_pylist(admitted.take_all())
+        return SitemapCrawlResult(
+            offers=offers, photos=photos, urls=urls_of(adm, kind="offer"),
+            n_entries=int(entries.count()), n_admitted=adm.num_rows)
+    finally:
+        # the admit closure in Ray Data plans keeps both services alive
+        # until the garbage collector runs; end their actors now
+        urlseen.close()
+        politeness.close()
 
 
 @dataclass

@@ -13,11 +13,20 @@ makes throughput scale with the host count (SURVEY.md §7.5).
 Robots handling (north_rule addition; the reference has none): a
 per-fetcher-actor cache of parsed Disallow prefixes, one fetch of
 robots.txt per host per actor.
+
+Checkpoints: the per-host budgets are one small host→remaining-delay map
+(``dump_headroom``) in the crawl checkpoint. On resume the driver splits
+it by the same crc32 routing and hands each shard its slice in the
+constructor, so a shard boots with its budgets already applied. Like
+every ``state/`` module this one imports only the stdlib and ``ray`` at
+module level (see ``state/urlseen.py``): its actors boot without
+``ray.data``.
 """
 
 from __future__ import annotations
 
 import time
+import zlib
 
 import ray
 
@@ -39,10 +48,16 @@ class PolitenessShard:
 
     def __init__(self, rps_per_host: float, burst: int = 1,
                  backoff_factor: float = 1.0,
-                 backoff_cap_mult: float = 16.0):
+                 backoff_cap_mult: float = 16.0,
+                 headroom: dict[str, float] | None = None):
         self.interval = 1.0 / rps_per_host
         self.burst = max(1, burst)
-        self.free_at: dict[str, float] = {}
+        # restored budgets (``snapshot_headroom`` form) count from this
+        # process's clock, i.e. from when the shard booted: never
+        # earlier than the driver read them, so never less polite
+        now = time.monotonic()
+        self.free_at: dict[str, float] = {
+            h: now + d for h, d in (headroom or {}).items()}
         # adaptive failure backoff (AIMD-style, multiplicative both
         # ways): a host's effective spacing is interval × mult[host];
         # report() multiplies by backoff_factor per failed request
@@ -112,32 +127,40 @@ class PolitenessShard:
         now = time.monotonic()
         return {h: t - now for h, t in self.free_at.items() if t > now}
 
-    def restore_headroom(self, headroom: dict[str, float]) -> None:
-        now = time.monotonic()
-        for h, d in headroom.items():
-            self.free_at[h] = now + d
-
 
 class PolitenessService:
+    """Driver/stage-side client over the shard actors. ``headroom`` is a
+    checkpointed host→remaining-delay map (``dump_headroom``; the legacy
+    list of per-shard maps also loads): it is split here with the same
+    crc32 routing ``acquire`` uses and each shard applies its slice in
+    its constructor, so the shard count may differ from the
+    checkpointed crawl's."""
+
     def __init__(self, n_shards: int, rps_per_host: float, burst: int = 1,
                  backoff_factor: float = 1.0,
-                 backoff_cap_mult: float = 16.0):
+                 backoff_cap_mult: float = 16.0,
+                 headroom: dict[str, float] | list[dict] | None = None):
         self.n = n_shards
         self.rps = rps_per_host
         # politeness off (synthetic-fetch benches) ⇒ no shard actors at
         # all: don't reserve CPU for a service that is never called
-        self.shards = ([] if rps_per_host >= 1e8 else
-                       [PolitenessShard.remote(rps_per_host, burst,
-                                               backoff_factor,
-                                               backoff_cap_mult)
-                        for _ in range(n_shards)])
+        if rps_per_host >= 1e8:
+            self.shards = []
+            return
+        if isinstance(headroom, list):  # legacy per-shard-list checkpoint
+            headroom = {h: d for blob in headroom for h, d in blob.items()}
+        per_shard: list[dict[str, float]] = [{} for _ in range(n_shards)]
+        for host, delay in (headroom or {}).items():
+            per_shard[zlib.crc32(host.encode()) % n_shards][host] = delay
+        self.shards = [PolitenessShard.remote(rps_per_host, burst,
+                                              backoff_factor,
+                                              backoff_cap_mult, part)
+                       for part in per_shard]
 
     def acquire(self, host: str, n: int) -> float:
         """Blocking helper: books n slots, sleeps the mandated delay."""
         if self.rps >= 1e8:
             return 0.0  # politeness disabled (synthetic fetch)
-        import zlib
-
         shard = self.shards[zlib.crc32(host.encode()) % self.n]
         delay = ray.get(shard.acquire.remote(host, n))
         if delay > 0:
@@ -156,8 +179,6 @@ class PolitenessService:
         host is paced at its widened interval, not the base one."""
         if self.rps >= 1e8 or not counts:
             return dict.fromkeys(counts, (0.0, 0.0))
-        import zlib
-
         hosts = list(counts)
         futs = [self.shards[zlib.crc32(h.encode()) % self.n]
                 .book.remote(h, counts[h]) for h in hosts]
@@ -169,8 +190,6 @@ class PolitenessService:
         once per (host, fetch actor) — the robots cache above gates it."""
         if self.rps >= 1e8 or not self.shards:
             return
-        import zlib
-
         shard = self.shards[zlib.crc32(host.encode()) % self.n]
         ray.get(shard.set_min_spacing.remote(host, interval))
 
@@ -180,8 +199,6 @@ class PolitenessService:
         configured (CrawlConfig.backoff_factor > 1)."""
         if self.rps >= 1e8 or not stats:
             return
-        import zlib
-
         ray.get([self.shards[zlib.crc32(h.encode()) % self.n]
                  .report.remote(h, nf, nk) for h, (nf, nk) in stats.items()])
 
@@ -199,21 +216,12 @@ class PolitenessService:
             merged.update(blob)
         return merged
 
-    def restore_headroom(self, headroom: dict[str, float]) -> None:
-        if isinstance(headroom, list):  # legacy per-shard-list checkpoint
-            merged: dict[str, float] = {}
-            for blob in headroom:
-                merged.update(blob)
-            headroom = merged
-        if not self.shards or not headroom:
-            return
-        import zlib
-
-        per_shard: list[dict[str, float]] = [{} for _ in self.shards]
-        for host, delay in headroom.items():
-            per_shard[zlib.crc32(host.encode()) % self.n][host] = delay
-        ray.get([s.restore_headroom.remote(b)
-                 for s, b in zip(self.shards, per_shard) if b])
+    def close(self) -> None:
+        """End the shard actors now, so their CPU returns when the crawl
+        does."""
+        for s in self.shards:
+            ray.kill(s)
+        self.shards = []
 
 
 def parse_robots(text: str) -> list[str]:

@@ -7,8 +7,20 @@ the cuckoo bucket index consumes the low bits) → per-shard
 Replaces the reference's process-local ``DedupeSet``
 (/root/reference/scrapper/core/dedup.py:16-37) with partition affinity:
 the same URL always lands on the same shard, so first-seen-wins holds
-under full parallelism. Each shard checkpoints its filter bytes for
-resume (FIXTURES.md F6 ``filter_bytes``).
+under full parallelism.
+
+Checkpoints (FIXTURES.md F6 ``filter_bytes``): each shard writes its
+own ``shard_<i>.bin`` (full filter or delta keys) into the checkpoint
+directory the driver commits, and on resume loads its own full dump and
+delta chain in its constructor. The driver only names directories; it
+never holds filter bytes (about 20 GB at the 10^10-URL design point).
+
+Import rule for ``state/``: a service actor process imports only this
+package's ``state`` modules, the stdlib, ``numpy``, ``pyarrow`` and
+``ray`` (never ``ray.data``, pandas or polars) at module level, so an
+actor boots in about the time ``import ray`` takes. Heavier helpers are
+imported inside the function that needs them (``url_keys``, which runs
+on the driver and in fetch tasks, never in a shard).
 
 Keys come from ``functions.textstats.fnv1a64`` — pure numpy uint64
 arithmetic, VERSION-STABLE across library upgrades (never use a
@@ -18,6 +30,7 @@ change between versions and silently re-admit the whole seen set).
 
 from __future__ import annotations
 
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -47,15 +60,32 @@ class UrlSeenShard:
     idle between RPCs; four shards share one core without starving the
     fetch pool.
 
-    Incremental checkpointing (SURVEY.md §7.5): the shard journals the
-    keys newly admitted since the last dump; ``dump_delta`` serializes
-    only those (8 bytes/key), while a periodic ``dump`` writes the full
-    filter. At 10^10 keys a full dump is ~20 GB across shards — deltas
-    keep steady-state checkpoint I/O proportional to crawl progress."""
+    The shard reads and writes its own checkpoint file,
+    ``<dir>/shard_<index>.bin``; filter bytes never pass through the
+    driver. The constructor restores from ``restore_from`` (a full-dump
+    directory, then delta directories in order); Ray runs no method of
+    an actor before its constructor returns, so every test-and-set sees
+    the restored set.
 
-    def __init__(self, capacity: int):
-        self.filter = CuckooFilter(capacity)
+    Incremental checkpointing (SURVEY.md §7.5): the shard journals the
+    keys newly admitted since the last checkpoint; a delta checkpoint
+    writes only those (8 bytes/key), a full one the whole filter. At
+    10^10 keys a full dump is ~20 GB across shards — deltas keep
+    steady-state checkpoint I/O proportional to crawl progress."""
+
+    def __init__(self, capacity: int, index: int,
+                 restore_from: list[str] | tuple = ()):
+        self.file = f"shard_{index}.bin"
         self._delta: list[np.ndarray] = []
+        if not restore_from:
+            self.filter = CuckooFilter(capacity)
+            return
+        with open(os.path.join(restore_from[0], self.file), "rb") as f:
+            self.filter = CuckooFilter.restore(f.read())
+        for d in restore_from[1:]:
+            keys = np.fromfile(os.path.join(d, self.file), dtype=np.uint64)
+            if keys.size:
+                self.filter.contains_and_add(keys)
 
     def contains_and_add(self, keys: np.ndarray) -> np.ndarray:
         seen = self.filter.contains_and_add(keys)
@@ -64,40 +94,46 @@ class UrlSeenShard:
             self._delta.append(new.copy())
         return seen
 
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        return self.filter.contains(keys)
-
     def count(self) -> int:
         return self.filter.count
 
-    def dump(self) -> bytes:
-        self._delta = []
-        return self.filter.dump()
-
-    def dump_delta(self) -> bytes:
-        blob = (np.concatenate(self._delta) if self._delta
-                else np.empty(0, dtype=np.uint64)).tobytes()
-        self._delta = []
-        return blob
-
-    def apply_delta(self, blob: bytes) -> None:
-        keys = np.frombuffer(blob, dtype=np.uint64)
-        if keys.size:
-            self.filter.contains_and_add(keys)
-        self._delta = []
-
-    def restore(self, blob: bytes) -> None:
-        self.filter = CuckooFilter.restore(blob)
+    def checkpoint(self, dirpath: str, full: bool) -> None:
+        """Write this shard's full filter or its delta journal into
+        ``dirpath`` (an uncommitted checkpoint directory: the driver
+        renames it into place once every shard has written)."""
+        if full:
+            blob = self.filter.dump()
+        else:
+            blob = (np.concatenate(self._delta) if self._delta
+                    else np.empty(0, dtype=np.uint64)).tobytes()
+        with open(os.path.join(dirpath, self.file), "wb") as f:
+            f.write(blob)
         self._delta = []
 
 
 class UrlSeenService:
-    """Driver/stage-side client over the shard actors."""
+    """Driver/stage-side client over the shard actors.
 
-    def __init__(self, n_shards: int, capacity_per_shard: int):
+    ``restore_from`` is a checkpoint chain, ``[full_dir, delta_dir, ...]``;
+    each shard loads its own files from it while it boots. A chain
+    written with another shard count raises ``ValueError`` here, on the
+    driver, before any actor starts."""
+
+    def __init__(self, n_shards: int, capacity_per_shard: int,
+                 restore_from: list[str] | None = None):
         self.n = n_shards
+        if restore_from:
+            found = sum(f.startswith("shard_")
+                        for f in os.listdir(restore_from[0]))
+            if found != n_shards:
+                raise ValueError(
+                    f"checkpoint {restore_from[0]} holds {found} URL-seen "
+                    f"shards, but this crawl runs {n_shards} "
+                    "(urlseen_shards must match the checkpointed crawl's)")
+        self._final: list[int] = []
         self.shards = [
-            UrlSeenShard.remote(capacity_per_shard) for _ in range(n_shards)
+            UrlSeenShard.remote(capacity_per_shard, i, restore_from or ())
+            for i in range(n_shards)
         ]
 
     def filter_new(self, urls: list[str] | pa.Array) -> np.ndarray:
@@ -125,18 +161,26 @@ class UrlSeenService:
         return ~seen
 
     def counts(self) -> list[int]:
+        """Keys per shard; after ``close`` the counts it recorded."""
+        if not self.shards:
+            return self._final
         return ray.get([s.count.remote() for s in self.shards])
 
-    def dump(self) -> list[bytes]:
-        return ray.get([s.dump.remote() for s in self.shards])
+    def checkpoint(self, dirpath: str, full: bool) -> None:
+        """Every shard writes its full filter (``full``) or the keys it
+        admitted since its last checkpoint into ``dirpath``; returns
+        once all files are written."""
+        os.makedirs(dirpath)
+        ray.get([s.checkpoint.remote(dirpath, full) for s in self.shards])
 
-    def dump_deltas(self) -> list[bytes]:
-        return ray.get([s.dump_delta.remote() for s in self.shards])
-
-    def apply_deltas(self, blobs: list[bytes]) -> None:
-        assert len(blobs) == self.n
-        ray.get([s.apply_delta.remote(b) for s, b in zip(self.shards, blobs)])
-
-    def restore(self, blobs: list[bytes]) -> None:
-        assert len(blobs) == self.n
-        ray.get([s.restore.remote(b) for s, b in zip(self.shards, blobs)])
+    def close(self) -> None:
+        """End the shard actors now, so their CPU returns when the crawl
+        does (wave closures in Ray Data plans can keep this object alive
+        until the garbage collector runs)."""
+        try:
+            self._final = self.counts()
+        except ray.exceptions.RayActorError:
+            pass  # a dead shard has no count to report
+        for s in self.shards:
+            ray.kill(s)
+        self.shards = []

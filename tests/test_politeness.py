@@ -54,7 +54,9 @@ def test_budget_headroom_checkpoint_roundtrip(ray_session):
     """Per-host budget state survives the checkpoint form (north_star
     crawl-state clause): remaining delays dump as ONE host→delay map and
     restore into a fresh service via the same crc32 routing acquire
-    uses, so a restarted job cannot burst past budget."""
+    uses, so a restarted job cannot burst past budget. The fresh
+    service takes the map in its constructor; each shard applies its
+    slice before it answers any RPC."""
     import zlib
 
     svc = PolitenessService(2, rps_per_host=1.0)
@@ -68,8 +70,7 @@ def test_budget_headroom_checkpoint_roundtrip(ray_session):
     assert "busy.pl" in headroom
     assert 30.0 < headroom["busy.pl"] <= 60.0
 
-    fresh = PolitenessService(2, rps_per_host=1.0)
-    fresh.restore_headroom(headroom)
+    fresh = PolitenessService(2, rps_per_host=1.0, headroom=headroom)
     # next acquire on the restored service must wait out the headroom
     shard = fresh.shards[zlib.crc32(b"busy.pl") % 2]
     delay = ray.get(shard.acquire.remote("busy.pl", 1))
@@ -80,7 +81,8 @@ def test_budget_headroom_checkpoint_roundtrip(ray_session):
     # disabled politeness: dump is empty, restore is a no-op
     off = PolitenessService(2, rps_per_host=1e9)
     assert off.dump_headroom() == {}
-    off.restore_headroom(headroom)
+    off = PolitenessService(2, rps_per_host=1e9, headroom=headroom)
+    assert off.shards == [] and off.dump_headroom() == {}
 
 
 def test_headroom_restores_across_different_shard_count(ray_session):
@@ -104,15 +106,15 @@ def test_headroom_restores_across_different_shard_count(ray_session):
     headroom = svc.dump_headroom()
     assert set(headroom) == set(hosts)
 
-    resumed = PolitenessService(5, rps_per_host=1.0)  # different count
-    resumed.restore_headroom(headroom)
+    resumed = PolitenessService(5, rps_per_host=1.0,  # different count
+                                headroom=headroom)
     for h in hosts:
         shard = resumed.shards[zlib.crc32(h.encode()) % 5]
         assert ray.get(shard.acquire.remote(h, 1)) > 1.0
 
     # legacy list-of-per-shard-blobs checkpoints still restore
-    legacy = PolitenessService(3, rps_per_host=1.0)
-    legacy.restore_headroom([{h: 120.0} for h in hosts])
+    legacy = PolitenessService(3, rps_per_host=1.0,
+                               headroom=[{h: 120.0} for h in hosts])
     for h in hosts:
         shard = legacy.shards[zlib.crc32(h.encode()) % 3]
         assert ray.get(shard.acquire.remote(h, 1)) > 1.0

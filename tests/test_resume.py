@@ -171,3 +171,26 @@ def test_failed_offer_pages_recovered_on_resume(tmp_path, ray_session):
     # idempotence: resuming again adds nothing
     r3 = run_crawl(PCFG, CCFG, wd, resume=True)
     pd.testing.assert_frame_equal(_tables(r3, ("offers",))["offers"], ho)
+
+
+def test_resume_with_other_shard_count_fails_on_driver(tmp_path, ray_session,
+                                                       monkeypatch):
+    """A checkpoint written by 4 URL-seen shards cannot be loaded by 2:
+    the driver raises ValueError naming both counts before it starts any
+    service actor (not an assert, which ``python -O`` strips)."""
+    from realestate_scraper_ray.state import politeness, urlseen
+
+    wd = str(tmp_path / "wd")
+    run_crawl(PCFG, CCFG, wd, stop_after_generations=1)
+
+    class NoActor:
+        @staticmethod
+        def remote(*a, **kw):
+            raise AssertionError("a service actor started")
+
+    monkeypatch.setattr(urlseen, "UrlSeenShard", NoActor)
+    monkeypatch.setattr(politeness, "PolitenessShard", NoActor)
+    two = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
+                      fetch_batch_size=64)
+    with pytest.raises(ValueError, match=r"holds 4 URL-seen shards.* runs 2"):
+        run_crawl(PCFG, two, wd, resume=True)
