@@ -158,8 +158,11 @@ class PortalConfig:
     # when set, the fetch stage serves pages from this materialized
     # documents parquet (doc_id, spans) instead of rendering
     # procedurally — the table-backed "Lance take by doc_id" path from
-    # SURVEY.md §7.1; each fetch worker loads the table once in its
-    # stage state. URLs absent from the table are hard fetch failures.
+    # SURVEY.md §7.1. The table must be sorted by doc_id with exact
+    # row-group statistics (Portal.write_documents writes it so): each
+    # fetch worker reads only the row groups it touches
+    # (sources/docstore.py), and an unsorted table raises ValueError.
+    # URLs absent from the table are hard fetch failures.
     documents_path: str | None = None
 
     # -- per-source policy lookups (module tables ∪ extra_sources) ------
@@ -231,7 +234,7 @@ class CrawlConfig:
     # (tenacity: 5 attempts, http.py:51-62)
     fetch_attempts: int = 5
     # failure injection (per-mille of pages that fail `fail_depth` times
-    # before succeeding; fail_depth > fetch_attempts → hard fetch_fail)
+    # before succeeding; fail_depth >= fetch_attempts → hard fetch_fail)
     fail_per_mille: int = 0
     fail_depth: int = 2
     # checkpointing
@@ -252,7 +255,9 @@ class CrawlConfig:
     # request and on a 304 skips transfer+parse entirely, carrying the
     # prior run's offer/photo rows forward. Listing pages are always
     # re-fetched (they drive frontier expansion and change on every
-    # posting).
+    # posting). ``validators_from`` must hold the bucketed layout a
+    # validators run writes (``validators/meta.json`` plus
+    # ``part-b{bucket}-`` fragments); anything else raises ValueError.
     validators: bool = False
     validators_from: str | None = None
     # S5 proxy configuration (reference build_proxies, http.py:105-111):

@@ -463,15 +463,28 @@ def _frontier_dir(workdir: str, gen: int) -> str:
     return gen_dir(workdir, "frontier", gen)
 
 
-def _frontier_rows(workdir: str, gen: int) -> int:
+def _frontier_windows(workdir: str, gen: int,
+                      cfg: CrawlConfig) -> list[tuple[list[str], int]]:
+    """Generation ``gen``'s frontier as bounded ``(paths, rows)``
+    windows, one footer read per fragment; ``[]`` when it has no rows.
+    File-granular: the sorted "part-p{prio}-…" names keep priority
+    order, and no window grows past ``cfg.max_wave_rows`` by more than
+    its last fragment, so one execution never has to hold an
+    arbitrarily large frontier."""
     d = _frontier_dir(workdir, gen)
     if not os.path.isdir(d):
-        return 0
-    n = 0
-    for f in os.listdir(d):
-        if f.endswith(".parquet"):
-            n += pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
-    return n
+        return []
+    windows: list[tuple[list[str], int]] = [([], 0)]
+    for f in sorted(f for f in os.listdir(d) if f.endswith(".parquet")):
+        paths, rows = windows[-1]
+        paths.append(os.path.join(d, f))
+        rows += pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
+        windows[-1] = (paths, rows)
+        if cfg.max_wave_rows is not None and rows >= cfg.max_wave_rows:
+            windows.append(([], 0))
+    if not any(rows for _, rows in windows):
+        return []
+    return [w for w in windows if w[0]]
 
 
 def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
@@ -563,19 +576,17 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
         last_ckpt = -1
         ckpt_idx = 0
         while True:
-            if _frontier_rows(workdir, gen) == 0:
-                if retries_left > 0:
-                    os.makedirs(_frontier_dir(workdir, gen), exist_ok=True)
-                    _append_retry_rows(portal, state, _frontier_dir(workdir, gen),
-                                       cfg, workdir)
-                    if _frontier_rows(workdir, gen) == 0:
-                        break
-                    retries_left -= 1
-                else:
-                    break
+            windows = _frontier_windows(workdir, gen, cfg)
+            if not windows and retries_left > 0:
+                retries_left -= 1
+                _append_retry_rows(portal, state, _frontier_dir(workdir, gen),
+                                   cfg, workdir)
+                windows = _frontier_windows(workdir, gen, cfg)
+            if not windows:
+                break
             try:
                 _run_wave(portal, cfg, workdir, gen, urlseen, politeness, state,
-                          run_token)
+                          run_token, windows)
             except Exception as e:
                 raise RuntimeError(
                     f"wave {gen} failed mid-execution (worker death or task "
@@ -619,14 +630,16 @@ def _check_validator_source(cfg: CrawlConfig) -> None:
     """A revisit whose validator source vanished (prior workdir moved or
     deleted) must fail loudly: an empty validator map would silently
     degrade the run to a full re-crawl with an EMPTY 304 carry — i.e.
-    silent data loss in the output tables, not just wasted fetches."""
-    if cfg.validators_from and not os.path.isdir(
-            os.path.join(cfg.validators_from, "validators")):
+    silent data loss in the output tables, not just wasted fetches.
+    ``validators/meta.json`` marks the bucketed layout every validators
+    run writes; without it the driver raises before any actor starts."""
+    if cfg.validators_from and not os.path.isfile(
+            os.path.join(cfg.validators_from, "validators", "meta.json")):
         raise ValueError(
-            f"validators_from={cfg.validators_from!r} has no validators/ "
-            "directory — the prior run's workdir is gone or was never a "
-            "validators=True run; refusing to silently degrade to a full "
-            "re-crawl with an empty carry")
+            f"validators_from={cfg.validators_from!r} has no "
+            "validators/meta.json — the prior run's workdir is gone or was "
+            "never a validators=True run; refusing to silently degrade to a "
+            "full re-crawl with an empty carry")
 
 
 def _carry_not_modified(workdir: str, prior_workdir: str) -> None:
@@ -671,7 +684,7 @@ def _seed_table(portal: Portal, cfg: CrawlConfig) -> pa.Table:
 
 
 def _append_retry_rows(portal: Portal, state: dict, fdir: str,
-                       cfg: CrawlConfig, workdir: str | None = None) -> None:
+                       cfg: CrawlConfig, workdir: str) -> None:
     """Retry enqueue (reference retry rounds, cli.py:731-816):
 
     - fetch-failed regions resume their LISTING chain at
@@ -701,8 +714,6 @@ def _append_retry_rows(portal: Portal, state: dict, fdir: str,
         pq.write_table(pa.Table.from_pylist(rows, schema=FRONTIER),
                        os.path.join(fdir, "part-p0-retry.parquet"),
                        row_group_size=8)
-    if workdir is None:
-        return
     q = _pending_quarantined_offer_pages(workdir)
     if q is None or q.num_rows == 0:
         return
@@ -734,15 +745,9 @@ def _pending_quarantined_offer_pages(workdir: str) -> pa.Table | None:
     qfiles = gen_files(os.path.join(workdir, "quarantine"))
     if not qfiles:
         return None
-    parts = []
-    for f in qfiles:
-        t = pq.read_table(f)
-        if "pos" not in t.column_names:  # pre-pos quarantine fragments
-            t = t.append_column("pos", pa.array(
-                np.zeros(t.num_rows, np.int32)))
-        parts.append(t.select(["url", "source", "region", "page_idx",
-                               "pos", "fetch_kind"]))
-    q = pa.concat_tables(parts)
+    q = pa.concat_tables([
+        pq.read_table(f, columns=["url", "source", "region", "page_idx",
+                                  "pos", "fetch_kind"]) for f in qfiles])
     q = q.filter(pc.is_in(q["fetch_kind"],
                           value_set=pa.array(["detail", "investment"])))
     if not q.num_rows:
@@ -771,29 +776,16 @@ def _pending_quarantined_offer_pages(workdir: str) -> pa.Table | None:
 
 def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
               urlseen: UrlSeenService, politeness: PolitenessService,
-              state: dict, run_token: str = "") -> None:
+              state: dict, run_token: str,
+              windows: list[tuple[list[str], int]]) -> None:
+    """Run wave ``gen`` over its (non-empty) ``_frontier_windows``, one
+    execution per window, and fold the summaries into ``state``."""
     # replace-on-retry: this wave's outputs are recreated from scratch
     next_dir = _frontier_dir(workdir, gen + 1)
     for name in GEN_TABLES:
         shutil.rmtree(gen_dir(workdir, name, gen), ignore_errors=True)
     shutil.rmtree(next_dir, ignore_errors=True)
 
-    # frontier windowing: split the generation's fragment files into
-    # bounded sub-windows (file-granular; priority order preserved by
-    # the sorted "part-p{prio}-…" names) so one execution never has to
-    # hold an arbitrarily large frontier. Summaries fold across windows.
-    fdir = _frontier_dir(workdir, gen)
-    files = sorted(f for f in os.listdir(fdir) if f.endswith(".parquet"))
-    # one footer read per fragment: the split loop records each
-    # window's row total so run_window never re-opens the footers
-    windows: list[tuple[list[str], int]] = [([], 0)]
-    for f in files:
-        paths, rows = windows[-1]
-        paths.append(os.path.join(fdir, f))
-        rows += pq.ParquetFile(os.path.join(fdir, f)).metadata.num_rows
-        windows[-1] = (paths, rows)
-        if cfg.max_wave_rows is not None and rows >= cfg.max_wave_rows:
-            windows.append(([], 0))
     wave_fn = make_wave_fn(portal.cfg, cfg, politeness, urlseen, workdir, gen,
                            run_token)
 
@@ -836,11 +828,11 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
             num_cpus=cfg.fetch_num_cpus,
             max_retries=0).take_all()
 
-    windows = [w for w in windows if w[0]]
     summary: list[dict] = []
-    if len(windows) <= 1:
-        if windows:
-            summary = run_window(windows[0])
+    if len(windows) == 1:
+        # inline on the driver thread: a traced run's span stack is
+        # thread-local, and ray.exec must nest under crawl.wave
+        summary = run_window(windows[0])
     else:
         # double-buffered windows: at most TWO window executions in
         # flight, so the in-flight frontier stays bounded at

@@ -10,9 +10,9 @@ for. This reader keeps per-actor state at O(#row_groups):
 - ``open()`` reads ONLY the parquet footer: per-row-group exact
   min/max doc_id statistics (pyarrow writes string stats untruncated
   at URL lengths). If stats are missing or the groups overlap (table
-  not sorted by doc_id), ``open`` returns None and the caller falls
-  back to the legacy eager load — back-compat for small hand-made
-  fixtures only.
+  not sorted by doc_id), ``open`` returns None; the fetch stage then
+  refuses the table (``ValueError``). There is no eager fallback:
+  ``Portal.write_documents`` writes the sorted layout.
 - ``get()`` binary-searches the row-group bounds and decodes just the
   one touched row group, LRU-caching a bounded number of decoded
   groups per actor (crawl batches are host-bucket-contiguous, so a
@@ -49,8 +49,7 @@ class DocStore:
     def open(cls, path: str, key_col: str = "doc_id",
              val_col: str = "spans") -> "DocStore | None":
         """None when the table is not provably doc_id-sorted with exact
-        row-group statistics — the caller's legacy eager load handles
-        those (small fixtures)."""
+        row-group statistics."""
         import pyarrow.parquet as pq
         md = pq.ParquetFile(path).metadata
         schema = md.schema.to_arrow_schema()

@@ -7,13 +7,17 @@ politeness client, portal/config) is built once in ``__init__``; each
 returns a combined Arrow table of typed records
 (link / offer / photo / pagemeta), distinguished by ``rec_kind``.
 
-Fetching here renders the deterministic synthetic portal (a pure
-function of the URL — see sources/synth_portal.py); a real-HTTP
-deployment swaps ``self._fetch`` for an httpx session per actor with
-the same retry envelope (5 attempts — the reference's tenacity policy,
-/root/reference/scrapper/core/http.py:51-62). Failures never raise:
-they emit ``status='fetch_fail'`` pagemeta rows so page-granular resume
-semantics match the reference (cli.py:799-806).
+Every page arrives through one call, ``FetchParse._get(url, known)``.
+The synthetic transport serves the deterministic portal (a pure
+function of the URL, see sources/synth_portal.py) as spans, as rendered
+HTML, or from a doc_id-sorted documents table (sources/docstore.py);
+``cfg.http_fetch`` swaps in a real GET through the per-actor
+``stages/http.py`` session, with the reference's 5-attempt retry
+envelope (scrapper/core/http.py:51-62). Either way ``_get`` answers a
+matching validator as not-modified (RFC 9110 304) and a hard failure as
+``(None, None)``. Failures never raise: they emit
+``status='fetch_fail'`` pagemeta rows so page-granular resume semantics
+match the reference (cli.py:799-806).
 
 Parsing mirrors the reference's extractor chain, re-expressed over
 spans with batch-vectorized numeric coercion (numpy / polars kernels):
@@ -286,8 +290,8 @@ def _next_data_advert(block: str) -> dict | None:
                 .get("pageProps", {}).get("advert"))
     except ValueError:
         return None
-_LD_RE = re.compile(
-    r'<script type="application/ld\+json">(.*?)</script>', re.S)
+
+
 _LEAFLET_RE = re.compile(r'L\.marker\(\[\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*\]\)')
 # anchored probe for a morizon hydrated-bounds corner marker: integer
 # ids only, so float "latitude" values in other portals' JSON (e.g. the
@@ -302,10 +306,6 @@ def _has_hydrated_marker(html: str) -> bool:
             return True
         gi = html.find('{"latitude":', gi + 12)
     return False
-
-# JSON-LD → engine field names (schema.org Product/Offer vocabulary)
-_LD_FIELD_ORDER = ("title", "price_amount", "price_currency", "city",
-                   "street", "lat", "lon", "area_m2", "rooms")
 
 
 def best_from_srcset(srcset: str) -> str | None:
@@ -552,10 +552,6 @@ def build_proxies(http: str | None, https: str | None) -> dict | None:
     return out
 
 
-def _round2(x: np.ndarray) -> np.ndarray:
-    return np.round(x, 2)
-
-
 _PROCESS_CACHE: dict[str, "FetchParse"] = {}
 
 
@@ -612,12 +608,10 @@ def trap_like(url: str, cfg: CrawlConfig) -> bool:
             and head.count("/") - 2 > cfg.max_path_depth)
 
 
-# validator fragment names: part-b{bucket:04d}-{worker token}-… (only
-# trusted when the source dir carries meta.json, the new-layout marker
-# — a legacy uuid token could coincidentally spell b\d{4}-)
+# validator fragment names: part-b{bucket:04d}-{worker token}-…
 _VFRAG_BUCKET_RE = re.compile(r"^part-b(\d{4,})-")
 _VCACHE_BUCKETS = 64  # resident url→etag bucket maps per actor (LRU)
-_NOT_MODIFIED = object()  # 304 sentinel from the real-HTTP fetch path
+_NOT_MODIFIED = object()  # _get's 304 sentinel
 
 
 class FetchParse:
@@ -653,18 +647,18 @@ class FetchParse:
         # lookups over the doc_id-sorted table (the actor-side Lance
         # take of SURVEY.md §7.1) — per-actor state is one (min,max)
         # pair per row group plus a bounded LRU of decoded groups,
-        # never the table. Unsorted / stats-less tables (small
-        # hand-made fixtures) fall back to the legacy eager load.
-        self._docs: dict[str, list[dict]] | None = None
+        # never the table. A table that is not sorted by doc_id is
+        # refused: loading it whole into every actor is the OOM the
+        # store exists to avoid.
         self._docstore = None
         if portal_cfg.documents_path:
             from ..sources.docstore import DocStore
             self._docstore = DocStore.open(portal_cfg.documents_path)
             if self._docstore is None:
-                import pyarrow.parquet as _pq
-                t = _pq.read_table(portal_cfg.documents_path)
-                self._docs = dict(zip(t["doc_id"].to_pylist(),
-                                      t["spans"].to_pylist()))
+                raise ValueError(
+                    f"documents_path={portal_cfg.documents_path!r} is not "
+                    "sorted by doc_id with exact row-group statistics; "
+                    "write it with Portal.write_documents")
         # conditional-GET revisit (cfg.validators_from): validator
         # fragments are written SHARDED by the same host bucket the
         # frontier writer sorts detail fragments by (crawl.py wave()),
@@ -673,12 +667,9 @@ class FetchParse:
         # URLs that map is tens of GB per actor; a fetch batch covers
         # 1–2 buckets because frontier fragments are bucket-contiguous).
         # Lookups recompute buckets with the WRITER's partitioning
-        # params (validators/meta.json), so a revisit configured with
-        # different host_buckets/skew_salts still routes correctly.
-        # A source with no meta.json is the legacy unbucketed layout:
-        # its fragments load eagerly (back-compat, small scale only).
-        self._validators_on = False
-        self._vbase: dict[str, str] = {}          # legacy eager-loaded map
+        # params (validators/meta.json, checked on the driver by
+        # run_crawl), so a revisit configured with different
+        # host_buckets/skew_salts still routes correctly.
         self._vindex: dict[int, list[str]] = {}   # bucket → paths, gen order
         self._vcache: "OrderedDict[int, dict[str, str]]" = OrderedDict()
         self._vcfg = crawl_cfg                    # writer partition params
@@ -686,30 +677,19 @@ class FetchParse:
         if crawl_cfg.validators_from:
             import json as _json
             import os as _os
-            self._validators_on = True
             root = _os.path.join(crawl_cfg.validators_from, "validators")
-            meta = _os.path.join(root, "meta.json")
-            bucketed = _os.path.isfile(meta)
-            if bucketed:
-                with open(meta) as f:
-                    m = _json.load(f)
-                self._vcfg = dataclasses.replace(
-                    crawl_cfg, host_buckets=int(m["host_buckets"]),
-                    skew_salts=tuple((s, int(n)) for s, n in m["skew_salts"]))
+            with open(_os.path.join(root, "meta.json")) as f:
+                m = _json.load(f)
+            self._vcfg = dataclasses.replace(
+                crawl_cfg, host_buckets=int(m["host_buckets"]),
+                skew_salts=tuple((s, int(n)) for s, n in m["skew_salts"]))
             from ..pipelines.crawl import gen_files
             for p in gen_files(root):
-                mb = (_VFRAG_BUCKET_RE.match(_os.path.basename(p))
-                      if bucketed else None)
+                mb = _VFRAG_BUCKET_RE.match(_os.path.basename(p))
                 if mb is None:
-                    self._vbase.update(self._read_validator_frag(p))
-                else:
-                    self._vindex.setdefault(int(mb.group(1)), []).append(p)
-
-    def _read_validator_frag(self, path: str):
-        import pyarrow.parquet as _pq
-        self.validator_files_read.append(path)
-        vt = _pq.read_table(path, columns=["url", "etag"])
-        return zip(vt["url"].to_pylist(), vt["etag"].to_pylist())
+                    raise ValueError(f"validator fragment {p!r} has no "
+                                     "b{bucket}- prefix")
+                self._vindex.setdefault(int(mb.group(1)), []).append(p)
 
     def _validator_map(self, bucket: int) -> dict[str, str]:
         """url→etag map of ONE host bucket, LRU-cached per actor."""
@@ -717,43 +697,24 @@ class FetchParse:
         if m is not None:
             self._vcache.move_to_end(bucket)
             return m
+        import pyarrow.parquet as _pq
         m = {}
         for p in self._vindex.get(bucket, ()):  # gen order: later wins
-            m.update(self._read_validator_frag(p))
+            self.validator_files_read.append(p)
+            vt = _pq.read_table(p, columns=["url", "etag"])
+            m.update(zip(vt["url"].to_pylist(), vt["etag"].to_pylist()))
         self._vcache[bucket] = m
         if len(self._vcache) > _VCACHE_BUCKETS:
             self._vcache.popitem(last=False)
         return m
 
-    def _validator_lookup(self, url: str, bucket: int) -> str | None:
-        known = self._validator_map(bucket).get(url)
-        return known if known is not None else self._vbase.get(url)
-
-    # -- fetch (synthetic render + deterministic failure injection) ---------
+    # -- fetch: one page path for every transport ---------------------------
 
     def _fail_depth(self, url: str) -> int:
         if not self.cfg.fail_per_mille:
             return 0
         b = int.from_bytes(hashlib.sha1(("fail|" + url).encode()).digest()[:8], "big") % 1000
         return self.cfg.fail_depth if b < self.cfg.fail_per_mille else 0
-
-    def _fetch(self, url: str) -> list[dict] | None:
-        """Returns spans or None on hard fetch failure. The retry loop is
-        the in-actor analogue of the reference's tenacity policy. In html
-        mode the page arrives as HTML and goes through the regex
-        extractor chain — fetched+parsed means real parse work."""
-        depth = self._fail_depth(url)
-        for attempt in range(1, self.cfg.fetch_attempts + 1):
-            if attempt > depth:
-                if self._docstore is not None:
-                    return self._docstore.get(url)
-                if self._docs is not None:
-                    return self._docs.get(url)
-                if self.portal.cfg.html_bytes > 0:
-                    html = self.portal.render_html(url)
-                    return None if html is None else html_to_spans(html, url)
-                return self.portal.render(url)
-        return None
 
     def _http_target(self, url: str) -> str:
         """Gateway rewrite (cfg.http_rewrite_base): route portal URLs
@@ -764,20 +725,40 @@ class FetchParse:
                     + _up.quote(url, safe=""))
         return url
 
-    def _http_fetch(self, url: str, etag: str | None):
-        """Real GET through the per-actor session: returns
-        ``(spans, live_etag)``, ``(_NOT_MODIFIED, etag)`` on a 304, or
-        ``(None, None)`` after the retry budget is exhausted (maps to a
-        fetch_fail row, exactly like the synthetic failure path). The
-        body parses through the same html_to_spans chain as html mode,
-        keyed by the ORIGINAL url (portal dialect dispatch is by host)."""
-        try:
-            resp = self._http.get(self._http_target(url), etag=etag)
-        except Exception:
+    def _get(self, url: str, known: str | None):
+        """Fetch one page: ``(spans, etag)``; ``(_NOT_MODIFIED, known)``
+        when the prior run's validator ``known`` still matches; ``(None,
+        None)`` on a hard failure.
+
+        Real HTTP sends ``known`` as If-None-Match and parses the body
+        keyed by the ORIGINAL url (portal dialect dispatch is by host).
+        The synthetic transport compares ``known`` before failure
+        injection and computes the etag only when a validator is known
+        or recorded. An injected failure hits a sampled URL's first
+        ``fail_depth`` attempts, so it is hard iff ``fail_depth >=
+        fetch_attempts`` (the reference's tenacity budget)."""
+        if self._http is not None:
+            try:
+                resp = self._http.get(self._http_target(url), etag=known)
+            except Exception:
+                return None, None
+            if resp.status == 304:
+                return _NOT_MODIFIED, known
+            return html_to_spans(resp.text(), url), resp.etag
+        etag = (self.portal.etag(url)
+                if known is not None or self.cfg.validators else None)
+        if known is not None and known == etag:
+            return _NOT_MODIFIED, known
+        if self._fail_depth(url) >= self.cfg.fetch_attempts:
             return None, None
-        if resp.status == 304:
-            return _NOT_MODIFIED, etag
-        return html_to_spans(resp.text(), url), resp.etag
+        if self._docstore is not None:
+            spans = self._docstore.get(url)
+        elif self.portal.cfg.html_bytes > 0:
+            html = self.portal.render_html(url)
+            spans = None if html is None else html_to_spans(html, url)
+        else:
+            spans = self.portal.render(url)
+        return (None, None) if spans is None else (spans, etag)
 
     def _disallowed(self, url: str) -> bool:
         if not self.cfg.robots:
@@ -810,7 +791,7 @@ class FetchParse:
             token = (self.cfg.http_user_agent or "*").split("/")[0].strip()
             pol = self._robots[host] = parse_robots_policy(txt, token)
             if (pol.crawl_delay is not None and self.politeness is not None
-                    and self.cfg.rps_per_host < 1e8):
+                    and self.politeness.enabled):
                 # server asks for wider spacing than the configured
                 # budget → raise that host's floor on its shard (once
                 # per host per actor; the cache above gates re-sends),
@@ -829,7 +810,7 @@ class FetchParse:
         # revisit: one vectorized bucket pass per batch routes each
         # detail URL to its validator shard (writer's partition params)
         vbuckets: np.ndarray | None = None
-        if self._validators_on:
+        if self.cfg.validators_from:
             from ..pipelines.crawl import _host_buckets
             vbuckets = _host_buckets(batch["url"], self._vcfg)
 
@@ -841,7 +822,7 @@ class FetchParse:
         # after its booked slot (full budget compliance)
         due: list[float] | None = None
         order = range(len(rows))
-        if self.politeness is not None and self.cfg.rps_per_host < 1e8:
+        if self.politeness is not None and self.politeness.enabled:
             hosts = [host_of(r["url"]) for r in rows]
             per_host: dict[str, int] = {}
             for h in hosts:
@@ -883,57 +864,35 @@ class FetchParse:
                 if wait > 0:
                     time.sleep(wait)
             is_detail = not (kind == "pagination" or kind.startswith("investment"))
-            known = None
-            if is_detail and vbuckets is not None:
-                # conditional GET: the request was paced like any other
-                # (a 304 still hits the server), but a matching
-                # validator skips body transfer AND the parse chain.
-                # Synthetic transport compares the validator locally;
-                # real HTTP sends If-None-Match and trusts the 304.
-                known = self._validator_lookup(url, int(vbuckets[i]))
-                if (self._http is None and known is not None
-                        and known == self.portal.etag(url)):
-                    emit("pagemeta", url=url, source=r["source"],
-                         region=r["region"], page_idx=r["page_idx"],
-                         pos=r["pos"], status="not_modified", n_links=0,
-                         fetch_kind="detail", etag=known)
-                    if backoff_on:
-                        o = outcome.setdefault(hosts[i], [0, 0])
-                        o[1] += 1
-                    continue
-            live_etag = None
-            if self._http is not None:
-                spans, live_etag = self._http_fetch(url, known)
-                if spans is _NOT_MODIFIED:
-                    emit("pagemeta", url=url, source=r["source"],
-                         region=r["region"], page_idx=r["page_idx"],
-                         pos=r["pos"], status="not_modified", n_links=0,
-                         fetch_kind="detail", etag=known)
-                    if backoff_on:
-                        o = outcome.setdefault(hosts[i], [0, 0])
-                        o[1] += 1
-                    continue
-            else:
-                spans = self._fetch(url)
+            # conditional GET: the request is paced like any other (a
+            # 304 still hits the server), but a matching validator
+            # skips body transfer AND the parse chain
+            known = (self._validator_map(int(vbuckets[i])).get(url)
+                     if is_detail and vbuckets is not None else None)
+            spans, etag = self._get(url, known)
             if backoff_on:
                 o = outcome.setdefault(hosts[i], [0, 0])
                 o[0 if spans is None else 1] += 1
+            if spans is _NOT_MODIFIED:
+                emit("pagemeta", url=url, source=r["source"],
+                     region=r["region"], page_idx=r["page_idx"],
+                     pos=r["pos"], status="not_modified", n_links=0,
+                     fetch_kind="detail", etag=etag)
+                continue
             if spans is None:
                 emit("pagemeta", url=url, source=r["source"], region=r["region"],
                      page_idx=r["page_idx"], pos=r["pos"], status="fetch_fail",
                      n_links=0, fetch_kind="pagination" if kind == "pagination" else
                      ("investment" if kind.startswith("investment") else "detail"))
                 continue
-            if kind == "pagination" or kind.startswith("investment"):
+            if not is_detail:
                 self._parse_link_page(r, spans, emit)
             else:
                 self._collect_offer(r, spans, offer_ctx, offer_raw, offer_photos)
                 emit("pagemeta", url=url, source=r["source"], region=r["region"],
                      page_idx=r["page_idx"], pos=r["pos"], status="ok",
                      n_links=0, fetch_kind="detail",
-                     etag=((live_etag if self._http is not None
-                            else self.portal.etag(url))
-                           if self.cfg.validators else None))
+                     etag=etag if self.cfg.validators else None)
 
         if backoff_on and outcome:
             self.politeness.report(
@@ -1085,13 +1044,13 @@ class FetchParse:
         cur = [("PLN" if m and c is None else c) for m, c in zip(inv, cur)]
         # derive ppm2 = round(price/area, 2) when missing (M19)
         d = np.isnan(ppm2) & ~np.isnan(price) & ~np.isnan(area) & (area > 0)
-        ppm2[d] = _round2(price[d] / area[d])
+        ppm2[d] = np.round(price[d] / area[d], 2)
         # area correction when emitted area is >8 % off price/ppm2 (M19)
         with np.errstate(invalid="ignore", divide="ignore"):
             implied = price / ppm2
             c = (~d & ~np.isnan(ppm2) & ~np.isnan(price) & (ppm2 > 0)
                  & ~np.isnan(area) & (np.abs(area - implied) / implied > 0.08))
-        area[c] = _round2(implied[c])
+        area[c] = np.round(implied[c], 2)
         # Poland bbox gate (M18)
         bad_geo = ~((lat >= 49.0) & (lat <= 54.9) & (lon >= 14.0) & (lon <= 24.5))
         lat[bad_geo] = np.nan

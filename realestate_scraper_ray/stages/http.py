@@ -1,4 +1,4 @@
-"""Real-HTTP transport behind the fetch stage's ``_fetch`` slot (S1/S2).
+"""Real-HTTP transport behind the fetch stage's ``_get`` (S1/S2).
 
 Re-expresses the reference's HttpClient
 (/root/reference/scrapper/core/http.py: httpx.Client + tenacity retry +

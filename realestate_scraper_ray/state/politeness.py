@@ -116,9 +116,6 @@ class PolitenessShard:
             self.mult[host] = m
         return m
 
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.free_at)
-
     def snapshot_headroom(self) -> dict[str, float]:
         """Checkpoint form: per-host REMAINING delay (free_at − now).
         Relative, so it survives a process restart where the monotonic
@@ -141,7 +138,6 @@ class PolitenessService:
                  backoff_cap_mult: float = 16.0,
                  headroom: dict[str, float] | list[dict] | None = None):
         self.n = n_shards
-        self.rps = rps_per_host
         # politeness off (synthetic-fetch benches) ⇒ no shard actors at
         # all: don't reserve CPU for a service that is never called
         if rps_per_host >= 1e8:
@@ -157,9 +153,15 @@ class PolitenessService:
                                               backoff_cap_mult, part)
                        for part in per_shard]
 
+    @property
+    def enabled(self) -> bool:
+        """True iff shard actors exist (``rps_per_host < 1e8`` and not
+        closed); callers ask this instead of comparing rates."""
+        return bool(self.shards)
+
     def acquire(self, host: str, n: int) -> float:
         """Blocking helper: books n slots, sleeps the mandated delay."""
-        if self.rps >= 1e8:
+        if not self.shards:
             return 0.0  # politeness disabled (synthetic fetch)
         shard = self.shards[zlib.crc32(host.encode()) % self.n]
         delay = ray.get(shard.acquire.remote(host, n))
@@ -177,7 +179,7 @@ class PolitenessService:
         sum over hosts) while every request still lands on or after its
         booked slot. Spacing comes from the shard so a backoff-penalised
         host is paced at its widened interval, not the base one."""
-        if self.rps >= 1e8 or not counts:
+        if not self.shards or not counts:
             return dict.fromkeys(counts, (0.0, 0.0))
         hosts = list(counts)
         futs = [self.shards[zlib.crc32(h.encode()) % self.n]
@@ -188,7 +190,7 @@ class PolitenessService:
         """Propagate a robots.txt Crawl-delay to the host's shard (one
         RPC, awaited so the next ``book`` on this actor sees it). Called
         once per (host, fetch actor) — the robots cache above gates it."""
-        if self.rps >= 1e8 or not self.shards:
+        if not self.shards:
             return
         shard = self.shards[zlib.crc32(host.encode()) % self.n]
         ray.get(shard.set_min_spacing.remote(host, interval))
@@ -197,7 +199,7 @@ class PolitenessService:
         """Per-batch failure/success outcome per host → the shards'
         adaptive backoff. One RPC round, only called when backoff is
         configured (CrawlConfig.backoff_factor > 1)."""
-        if self.rps >= 1e8 or not stats:
+        if not self.shards or not stats:
             return
         ray.get([self.shards[zlib.crc32(h.encode()) % self.n]
                  .report.remote(h, nf, nk) for h, (nf, nk) in stats.items()])

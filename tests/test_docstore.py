@@ -3,10 +3,13 @@ table-backed fetch must do point reads — only the row groups a batch
 touches — never load the table per worker (SURVEY.md §7.1 actor-side
 take)."""
 
+import dataclasses
+
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
-from realestate_scraper_ray.config import PortalConfig
+from realestate_scraper_ray.config import CrawlConfig, PortalConfig
 from realestate_scraper_ray.sources.docstore import DocStore
 from realestate_scraper_ray.sources.synth_portal import Portal
 
@@ -47,6 +50,18 @@ def test_unsorted_table_falls_back(tmp_path):
     p = str(tmp_path / "unsorted.parquet")
     pq.write_table(t, p, row_group_size=1)
     assert DocStore.open(p) is None
+
+
+def test_fetch_refuses_unsorted_table(tmp_path):
+    """No eager fallback: a documents table that is not sorted by doc_id
+    would be loaded whole into every fetch actor, so the stage refuses
+    it when it is built."""
+    from realestate_scraper_ray.stages.fetch import FetchParse
+    t = pa.table({"doc_id": ["b", "a", "c"], "spans": [[], [], []]})
+    p = str(tmp_path / "unsorted.parquet")
+    pq.write_table(t, p, row_group_size=1)
+    with pytest.raises(ValueError, match="sorted by doc_id"):
+        FetchParse(dataclasses.replace(CFG, documents_path=p), CrawlConfig())
 
 
 def test_lru_bounds_resident_groups(tmp_path):

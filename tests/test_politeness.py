@@ -200,3 +200,16 @@ def test_crawl_with_backoff_matches_oracle(tmp_path, ray_session):
               .sort_values(["source", "region", "page_idx", "pos"])
               .reset_index(drop=True))
         pd.testing.assert_frame_equal(ta, tb, obj=name)
+
+
+def test_politeness_threshold_lives_in_politeness_only():
+    """``rps_per_host >= 1e8`` means "no politeness actors"; that rule is
+    decided once, in state/politeness.py, and callers ask
+    ``PolitenessService.enabled`` instead of repeating the literal."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "realestate_scraper_ray"
+    hits = sorted(p.relative_to(pkg).as_posix() for p in pkg.rglob("*.py")
+                  if re.search(r"\b1e8\b", p.read_text()))
+    assert hits == ["state/politeness.py"]

@@ -207,6 +207,90 @@ def test_missing_validator_source_raises(tmp_path_factory, ray_session):
         run_crawl(_pcfg(), cfg, wd)
 
 
+def test_validator_source_without_meta_fails_on_driver(tmp_path, ray_session,
+                                                      monkeypatch):
+    """A validators/ directory without meta.json is not the bucketed
+    layout every validators run writes: the driver raises before any
+    service actor starts, instead of each fetch actor loading the whole
+    url→etag map."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from realestate_scraper_ray.state import politeness, urlseen
+
+    prior = tmp_path / "prior"
+    (prior / "validators" / "gen-0").mkdir(parents=True)
+    pq.write_table(pa.table({"url": ["https://x.pl/a"], "status": ["ok"],
+                             "etag": ["e"]}),
+                   prior / "validators" / "gen-0" / "part-legacy.parquet")
+
+    class NoActor:
+        @staticmethod
+        def remote(*a, **kw):
+            raise AssertionError("a service actor started")
+
+    monkeypatch.setattr(urlseen, "UrlSeenShard", NoActor)
+    monkeypatch.setattr(politeness, "PolitenessShard", NoActor)
+    cfg = dataclasses.replace(CRAWL, validators_from=str(prior),
+                              rps_per_host=10.0)
+    with pytest.raises(ValueError, match="meta.json"):
+        run_crawl(_pcfg(), cfg, str(tmp_path / "wd"))
+
+
+def test_unbucketed_validator_fragment_rejected(tmp_path):
+    """With meta.json present, every fragment must carry its host
+    bucket in its name; an unbucketed one raises instead of being
+    loaded eagerly."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from realestate_scraper_ray.stages.fetch import FetchParse
+
+    root = tmp_path / "prior" / "validators"
+    (root / "gen-0").mkdir(parents=True)
+    (root / "meta.json").write_text(json.dumps(
+        {"host_buckets": CRAWL.host_buckets, "skew_salts": []}))
+    pq.write_table(pa.table({"url": ["https://x.pl/a"], "status": ["ok"],
+                             "etag": ["e"]}),
+                   root / "gen-0" / "part-legacy.parquet")
+    cfg = dataclasses.replace(CRAWL, validators_from=str(tmp_path / "prior"))
+    with pytest.raises(ValueError, match="bucket"):
+        FetchParse(_pcfg(), cfg)
+
+
+def test_304_decided_before_failure_injection(first_run, ray_session):
+    """A matching validator answers not-modified even when failure
+    injection would fail every fetch: the 304 is decided first. The
+    listing page in the same batch still fails, so injection is on."""
+    import pyarrow as pa
+
+    from realestate_scraper_ray.sources.synth_portal import Portal
+    from realestate_scraper_ray.stages.fetch import FetchParse
+
+    wd_a, res_a = first_run
+    cfg = dataclasses.replace(CRAWL, validators_from=wd_a,
+                              fail_per_mille=1000,
+                              fail_depth=CRAWL.fetch_attempts)
+    u = res_a.table("urls").to_pandas()
+    urls = u["offer_url"].head(6).tolist()
+    listing = Portal(_pcfg()).seeds(CRAWL.last_days)[0]
+    batch = pa.table({
+        "url": urls + [listing["url"]],
+        "kind": ["detail"] * len(urls) + ["pagination"],
+        "source": u["source"].head(6).tolist() + [listing["source"]],
+        "region": u["region"].head(6).tolist() + [listing["region"]],
+        "page_idx": [1] * (len(urls) + 1),
+        "pos": list(range(len(urls) + 1))})
+    out = FetchParse(_pcfg(), cfg)(batch)
+    meta = out.filter(pc.equal(out["rec_kind"], "pagemeta"))
+    got = dict(zip(meta["url"].to_pylist(), meta["status"].to_pylist()))
+    assert [got[x] for x in urls] == ["not_modified"] * len(urls)
+    assert got[listing["url"]] == "fetch_fail"
+    assert out.filter(pc.equal(out["rec_kind"], "offer")).num_rows == 0
+
+
 def test_in_place_revisit_rejected(first_run, ray_session):
     wd_a, _ = first_run
     cfg = dataclasses.replace(CRAWL, validators_from=wd_a)
