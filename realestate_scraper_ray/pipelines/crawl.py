@@ -528,10 +528,11 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
             with open(marker) as f:
                 cfg = replace(cfg, validators_from=json.load(f)["from"])
     _check_validator_source(cfg)
-    # the service actors start only after every check that can raise
-    # (the URL-seen shard count is checked before its first actor), and
-    # boot, each restoring its own checkpoint state, while the driver
-    # prepares the first wave's frontier
+    # the services lease their shards only after every check that can
+    # raise (the URL-seen shard count is checked before its lease), and
+    # the shards boot or reset, each restoring its own checkpoint state,
+    # while the driver prepares the first wave's frontier; a service's
+    # first call waits for that (state/lease.py)
     urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity,
                              restore_from=chain)
     politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
@@ -791,12 +792,17 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
 
     def run_window(win: tuple[list[str], int]) -> list[dict]:
         paths, n_rows = win
-        # fan out to ~one block per fetch batch (row-group-granular
-        # splits) so parallelism tracks window size, not the previous
-        # wave's writer-task count; sorted paths keep the priority
-        # queue: pagination (p0) blocks stream into the fetch stage
-        # before investment (p1) before detail (p2) — no sort shuffle
-        # (north_rule; SURVEY.md §2.6 O2)
+        # split the read into ~one block per fetch batch (row-group-
+        # granular splits) so the read's task count tracks window size,
+        # not the previous wave's writer-task count. This is not the
+        # wave's fan-out: the read (ReadParquet) and the map
+        # (MapBatches(wave)) run as two operators, because max_retries
+        # and batch_size are set on the map only, and the map re-bundles
+        # blocks up to fetch_batch_size rows, so one map task can run
+        # several batches back to back (ROADMAP: wave fusion). Sorted
+        # paths keep the priority queue: pagination (p0) blocks stream
+        # into the fetch stage before investment (p1) before detail
+        # (p2) — no sort shuffle (north_rule; SURVEY.md §2.6 O2)
         nblocks = max(1, -(-n_rows // cfg.fetch_batch_size))
         # small waves (seed wave, deep-pagination tail): one batch-sized
         # block would idle most of the cluster for a whole frontier

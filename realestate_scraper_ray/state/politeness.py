@@ -16,11 +16,13 @@ robots.txt per host per actor.
 
 Checkpoints: the per-host budgets are one small host→remaining-delay map
 (``dump_headroom``) in the crawl checkpoint. On resume the driver splits
-it by the same crc32 routing and hands each shard its slice in the
-constructor, so a shard boots with its budgets already applied. Like
-every ``state/`` module this one imports only the stdlib and ``ray`` at
-module level (see ``state/urlseen.py``): its actors boot without
-``ray.data``.
+it by the same crc32 routing and hands each shard its slice in its
+reset, so a shard starts its lease with its budgets already applied.
+Shards are ``num_cpus=0`` actors leased from the Ray session's shard
+pool (``state/lease.py``); the lease reserves their 0.25 CPU each while
+a crawl holds them. Like every ``state/`` module this one imports only
+the stdlib and ``ray`` at module level (see ``state/urlseen.py``): its
+actors boot without ``ray.data``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ import zlib
 
 import ray
 
+from .lease import Lease, check_epoch
 
-@ray.remote(num_cpus=0.25)
+
+@ray.remote(num_cpus=0)
 class PolitenessShard:
     """Token buckets for the hosts hashed onto this shard.
 
@@ -49,11 +53,23 @@ class PolitenessShard:
     def __init__(self, rps_per_host: float, burst: int = 1,
                  backoff_factor: float = 1.0,
                  backoff_cap_mult: float = 16.0,
-                 headroom: dict[str, float] | None = None):
+                 headroom: dict[str, float] | None = None,
+                 epoch: int | None = None):
+        self.reset(rps_per_host, burst, backoff_factor, backoff_cap_mult,
+                   headroom, epoch)
+
+    def reset(self, rps_per_host: float, burst: int = 1,
+              backoff_factor: float = 1.0,
+              backoff_cap_mult: float = 16.0,
+              headroom: dict[str, float] | None = None,
+              epoch: int | None = None) -> None:
+        """Start a lease: clean buckets plus ``headroom``. Every method
+        takes the caller's lease ``epoch`` (``check_epoch``)."""
+        self.epoch = epoch
         self.interval = 1.0 / rps_per_host
         self.burst = max(1, burst)
         # restored budgets (``snapshot_headroom`` form) count from this
-        # process's clock, i.e. from when the shard booted: never
+        # process's clock, i.e. from when the shard was reset: never
         # earlier than the driver read them, so never less polite
         now = time.monotonic()
         self.free_at: dict[str, float] = {
@@ -72,9 +88,17 @@ class PolitenessShard:
         # narrower — the configured interval stays the global floor
         self.min_int: dict[str, float] = {}
 
-    def set_min_spacing(self, host: str, interval: float) -> float:
+    def clear(self, epoch: int | None = None) -> None:
+        """End the lease: drop every host's state."""
+        check_epoch(self.epoch, epoch)
+        self.epoch = None
+        self.free_at, self.mult, self.min_int = {}, {}, {}
+
+    def set_min_spacing(self, host: str, interval: float,
+                        epoch: int | None = None) -> float:
         """Raise (never lower) a host's base spacing to the server's
         published Crawl-delay. Idempotent; returns the effective base."""
+        check_epoch(self.epoch, epoch)
         if interval > self.interval:
             cur = self.min_int.get(host, 0.0)
             if interval > cur:
@@ -87,9 +111,11 @@ class PolitenessShard:
             base = self.interval
         return base * self.mult.get(host, 1.0)
 
-    def book(self, host: str, n: int) -> tuple[float, float]:
+    def book(self, host: str, n: int,
+             epoch: int | None = None) -> tuple[float, float]:
         """Book n slots; returns (delay until first slot, per-request
         spacing the caller must pace at)."""
+        check_epoch(self.epoch, epoch)
         now = time.monotonic()
         spacing = self._spacing(host)
         free = self.free_at.get(host, now)
@@ -97,12 +123,14 @@ class PolitenessShard:
         self.free_at[host] = free + n * spacing
         return max(0.0, free - now), spacing
 
-    def acquire(self, host: str, n: int) -> float:
-        return self.book(host, n)[0]
+    def acquire(self, host: str, n: int, epoch: int | None = None) -> float:
+        return self.book(host, n, epoch)[0]
 
-    def report(self, host: str, n_fail: int, n_ok: int) -> float:
+    def report(self, host: str, n_fail: int, n_ok: int,
+               epoch: int | None = None) -> float:
         """Fold a batch's per-host outcome into the backoff multiplier;
         returns the new multiplier (for tests/metrics)."""
+        check_epoch(self.epoch, epoch)
         if self.bf <= 1.0:
             return 1.0
         m = self.mult.get(host, 1.0)
@@ -116,22 +144,23 @@ class PolitenessShard:
             self.mult[host] = m
         return m
 
-    def snapshot_headroom(self) -> dict[str, float]:
+    def snapshot_headroom(self, epoch: int | None = None) -> dict[str, float]:
         """Checkpoint form: per-host REMAINING delay (free_at − now).
         Relative, so it survives a process restart where the monotonic
         clock resets; hosts at/under budget (headroom ≤ 0) are dropped —
         they restore to 'free now', which is exactly their state."""
+        check_epoch(self.epoch, epoch)
         now = time.monotonic()
         return {h: t - now for h, t in self.free_at.items() if t > now}
 
 
 class PolitenessService:
-    """Driver/stage-side client over the shard actors. ``headroom`` is a
-    checkpointed host→remaining-delay map (``dump_headroom``; the legacy
-    list of per-shard maps also loads): it is split here with the same
-    crc32 routing ``acquire`` uses and each shard applies its slice in
-    its constructor, so the shard count may differ from the
-    checkpointed crawl's."""
+    """Driver/stage-side client over leased shard actors. ``headroom`` is
+    a checkpointed host→remaining-delay map (``dump_headroom``; the
+    legacy list of per-shard maps also loads): it is split here with the
+    same crc32 routing ``acquire`` uses and each shard applies its slice
+    in its reset, so the shard count may differ from the checkpointed
+    crawl's."""
 
     def __init__(self, n_shards: int, rps_per_host: float, burst: int = 1,
                  backoff_factor: float = 1.0,
@@ -140,18 +169,24 @@ class PolitenessService:
         self.n = n_shards
         # politeness off (synthetic-fetch benches) ⇒ no shard actors at
         # all: don't reserve CPU for a service that is never called
+        self._lease, self.epoch = None, None
         if rps_per_host >= 1e8:
-            self.shards = []
             return
         if isinstance(headroom, list):  # legacy per-shard-list checkpoint
             headroom = {h: d for blob in headroom for h, d in blob.items()}
         per_shard: list[dict[str, float]] = [{} for _ in range(n_shards)]
         for host, delay in (headroom or {}).items():
             per_shard[zlib.crc32(host.encode()) % n_shards][host] = delay
-        self.shards = [PolitenessShard.remote(rps_per_host, burst,
-                                              backoff_factor,
-                                              backoff_cap_mult, part)
-                       for part in per_shard]
+        self._lease = Lease(PolitenessShard,
+                            [(rps_per_host, burst, backoff_factor,
+                              backoff_cap_mult, part) for part in per_shard])
+        self.epoch = self._lease.epoch
+
+    @property
+    def shards(self) -> list:
+        """The leased shard handles, once their resets have finished; []
+        when politeness is off or after ``close``."""
+        return self._lease.shards if self._lease else []
 
     @property
     def enabled(self) -> bool:
@@ -164,7 +199,7 @@ class PolitenessService:
         if not self.shards:
             return 0.0  # politeness disabled (synthetic fetch)
         shard = self.shards[zlib.crc32(host.encode()) % self.n]
-        delay = ray.get(shard.acquire.remote(host, n))
+        delay = ray.get(shard.acquire.remote(host, n, epoch=self.epoch))
         if delay > 0:
             time.sleep(delay)
         return delay
@@ -183,7 +218,7 @@ class PolitenessService:
             return dict.fromkeys(counts, (0.0, 0.0))
         hosts = list(counts)
         futs = [self.shards[zlib.crc32(h.encode()) % self.n]
-                .book.remote(h, counts[h]) for h in hosts]
+                .book.remote(h, counts[h], epoch=self.epoch) for h in hosts]
         return dict(zip(hosts, ray.get(futs)))
 
     def set_min_spacing(self, host: str, interval: float) -> None:
@@ -193,7 +228,7 @@ class PolitenessService:
         if not self.shards:
             return
         shard = self.shards[zlib.crc32(host.encode()) % self.n]
-        ray.get(shard.set_min_spacing.remote(host, interval))
+        ray.get(shard.set_min_spacing.remote(host, interval, epoch=self.epoch))
 
     def report(self, stats: dict[str, tuple[int, int]]) -> None:
         """Per-batch failure/success outcome per host → the shards'
@@ -202,7 +237,8 @@ class PolitenessService:
         if not self.shards or not stats:
             return
         ray.get([self.shards[zlib.crc32(h.encode()) % self.n]
-                 .report.remote(h, nf, nk) for h, (nf, nk) in stats.items()])
+                 .report.remote(h, nf, nk, epoch=self.epoch)
+                 for h, (nf, nk) in stats.items()])
 
     def dump_headroom(self) -> dict[str, float]:
         """One host→remaining-delay map for the crawl checkpoint (the
@@ -213,17 +249,16 @@ class PolitenessService:
         if not self.shards:
             return {}
         merged: dict[str, float] = {}
-        for blob in ray.get([s.snapshot_headroom.remote()
+        for blob in ray.get([s.snapshot_headroom.remote(epoch=self.epoch)
                              for s in self.shards]):
             merged.update(blob)
         return merged
 
     def close(self) -> None:
-        """End the shard actors now, so their CPU returns when the crawl
-        does."""
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        """End the lease now: clear the shards and return them to the
+        pool, and free the CPU the lease reserved."""
+        if self._lease is not None:
+            self._lease.release()
 
 
 def parse_robots(text: str) -> list[str]:

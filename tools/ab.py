@@ -13,8 +13,9 @@ many pairs the change won (higher or lower, as the metric's ``better``
 says), then one JSON summary line.
 
 Exit status: 0 when every run was correct with no failed operation,
-1 when a run failed or was incorrect, 2 when a ``raylet``, ``perfbench``
-or ``pytest`` process is still running at the end.
+1 when a run failed or was incorrect, 2 when a benchmark process is
+still running at the end: the raylet, a Ray worker (``ray::...``),
+python running ``perfbench/run.py``, or pytest.
 """
 
 from __future__ import annotations
@@ -60,12 +61,36 @@ def _ancestors() -> set[int]:
     return pids
 
 
+def is_benchmark_process(cmd: str) -> bool:
+    """True for a command line (``pgrep -af`` without the pid) of a
+    process a benchmark run leaves behind: the raylet binary, a Ray
+    worker (``ray::IDLE``, ``ray::UrlSeenShard``, ...), python running
+    ``perfbench/run.py``, or pytest. A process that merely names one of
+    them in its arguments (a shell running ``pgrep``) is not one."""
+    argv = cmd.split()
+    if not argv:
+        return False
+    prog = os.path.basename(argv[0])
+    if argv[0].startswith("ray::") or prog in ("raylet", "pytest"):
+        return True
+    if not prog.startswith("python"):
+        return False
+    args = argv[1:]
+    return (any(a == "perfbench/run.py" or a.endswith("/perfbench/run.py")
+                or os.path.basename(a) == "pytest" for a in args)
+            or any(a == "-m" and b == "pytest" for a, b in zip(args, args[1:])))
+
+
 def _leftovers() -> list[str]:
-    p = subprocess.run(["pgrep", "-af", "raylet|perfbench|pytest"],
+    p = subprocess.run(["pgrep", "-af", "raylet|ray::|perfbench|pytest"],
                        capture_output=True, text=True)
     mine = _ancestors()
-    return [ln for ln in p.stdout.splitlines()
-            if int(ln.split()[0]) not in mine]
+    found = []
+    for ln in p.stdout.splitlines():
+        pid, _, cmd = ln.partition(" ")
+        if int(pid) not in mine and is_benchmark_process(cmd):
+            found.append(ln)
+    return found
 
 
 def main() -> int:

@@ -12,6 +12,7 @@ import sys
 import time
 
 import duckdb
+import numpy as np
 import pandas as pd
 
 
@@ -25,11 +26,29 @@ def to_df(res) -> pd.DataFrame:
     return res
 
 
+def _number(v) -> str:
+    """One spelling per numeric value: an integral float prints as the
+    integer it equals (``2.0``, ``-0.0`` and ``2``, ``0`` hash alike),
+    any other float as the ``repr`` of its float64 value, and a missing
+    value as ``None``."""
+    if pd.isna(v):
+        return "None"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    return str(int(f)) if f.is_integer() else repr(f)
+
+
 def value_hash(df: pd.DataFrame) -> str:
     import hashlib
     df = df[sorted(df.columns)]
-    # normalize dtypes the way a driver plausibly would: stringify rows
-    rows = sorted(df.astype(str).itertuples(index=False, name=None))
+    # stringify rows the way a driver plausibly would, but numbers by
+    # value: how a float prints depends on its dtype, not on what it is
+    text = pd.DataFrame({
+        c: (col.map(_number) if pd.api.types.is_numeric_dtype(col)
+            and not pd.api.types.is_bool_dtype(col) else col.astype(str))
+        for c, col in df.items()})
+    rows = sorted(text.itertuples(index=False, name=None))
     return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
 
 
