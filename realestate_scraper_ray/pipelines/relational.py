@@ -4671,7 +4671,7 @@ def graph_triangles(sf_dir: str) -> rd.Dataset:
     def _copairs(t: pa.Table) -> pd.DataFrame:
         # one orderkey bucket: distinct (order, part), vectorized
         # all-pairs within each order's contiguous run
-        from ..stages.graph import _pairs_within_runs
+        from ..stages.pairs import _pairs_within_runs
         g = t.to_pandas().drop_duplicates(["o", "p"]) \
              .sort_values(["o", "p"], kind="stable", ignore_index=True)
         fi, si = _pairs_within_runs(g["o"].to_numpy())

@@ -19,9 +19,9 @@ use the shingle-based operators in ``stages/dedupe.py`` instead.
 Everything is hash-space until the verify: variant hashes are computed
 directly from prefix/suffix polynomial sums (never materializing the
 variant strings), the candidate exchange carries (variant_hash, id)
-int64 pairs, and only the deduped candidate PAIRS attach strings —
-adaptively broadcast under the 64 MiB cap, hash-joined above it
-(same plan shape as ``dedupe._verify_pairs_jaccard``).
+int64 pairs, and only the candidate PAIRS attach strings —
+adaptively broadcast under the 64 MiB cap, exchanged on the ids above
+it (``pairs.verify``, the attach every near-dup operator shares).
 
 No counterpart in the reference scraper (its keys are exact URL/id
 matches); this is engine surface for entity resolution over noisy keys.
@@ -34,13 +34,9 @@ from itertools import combinations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
-import ray
 import ray.data as rd
-from ray.data.aggregate import Count
 
-from .exchange import exchange
-from .graph import _pairs_within_runs
+from .pairs import candidates, result, verify
 
 _B = np.uint64(1_000_003)          # odd -> invertible mod 2^64
 _SEED = np.uint64(1469598103934665603)
@@ -192,109 +188,27 @@ def fuzzy_selfjoin_editdist(ds: rd.Dataset, id_col: str, str_col: str,
     """All pairs (a, b), a < b, with Levenshtein(s_a, s_b) <= k.
     Returns a DataFrame (a_id, b_id, dist).
 
-    Plan: variant-hash emission (map-side, deduped per string) → one
-    coarse-bucket groupby pairing equal hashes inside vectorized runs
-    (pairs unique within a bucket; no cross-bucket dedup exchange) →
-    adaptive string attach → vectorized DP verify → the ~2 % of pairs
-    that recur via distinct hashes in different buckets collapse in
-    the output-sized driver drop_duplicates.
-    Ids must fit 31 bits (pair keys pack into one int64 —
-    same contract as ``graph.triangle_counts``). 100 TB: every exchange
-    is int64-pairs-sized; strings ship only for verified candidates."""
+    Plan: variant-hash emission (map-side, deduped per string) as the
+    blocking keys of ``pairs.candidates`` (one coarse-bucket exchange,
+    then the pair dedup exchange) → ``pairs.verify`` (adaptive string
+    attach, ``num_partitions`` buckets per exchange above the cap) →
+    vectorized DP verify. 100 TB: every exchange is int64-pairs-sized;
+    strings ship only for verified candidates."""
 
-    def emit(t: pa.Table) -> pa.Table:
-        strs = t[str_col].to_pylist()
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        rows, vh = _variant_hashes(strs, k)
-        return pa.table({"vh": vh.view(np.int64), "id": ids[rows]})
+    def variant_keys(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        rows, vh = _variant_hashes(t[str_col].to_pylist(), k)
+        return rows, vh.view(np.int64)
 
-    def pair_up(t: pa.Table) -> pa.Table:
-        vh = t["vh"].to_numpy()
-        ids = t["id"].to_numpy()
-        order = np.lexsort((ids, vh))
-        vh, ids = vh[order], ids[order]
-        fi, si = _pairs_within_runs(vh)
-        a = np.minimum(ids[fi], ids[si])
-        bb = np.maximum(ids[fi], ids[si])
-        m = a != bb  # same id through two variants
-        key = np.unique((a[m] << np.int64(31)) | bb[m])
-        return pa.table({"a_id": (key >> np.int64(31)),
-                         "b_id": key & np.int64((1 << 31) - 1)})
+    cand = candidates(ds, id_col, variant_keys, n_buckets)
 
-    # No pre-verify dedup exchange: pair_up already uniques within its
-    # bucket, so a pair recurs only when two strings share DISTINCT
-    # variant hashes that land in different buckets — measured ~2 % of
-    # candidates on zero-padded id-style keys. Verifying those twice is
-    # far cheaper than a sort-based aggregate over the whole candidate
-    # set (5 s of a 17 s wall at sf0.1); duplicates carry identical
-    # exact distances and collapse in the output-sized driver
-    # drop_duplicates (the f4be768 set-sim-join precedent).
-    cand = exchange(ds.map_batches(emit, batch_format="pyarrow"), "vh",
-                    pair_up, n_buckets)
+    def score(t: pa.Table) -> pa.Table:
+        d = editdist_batch(t[f"{str_col}_a"].to_pylist(),
+                           t[f"{str_col}_b"].to_pylist(), k)
+        keep = pa.array(d <= k)
+        return pa.table({"a_id": t["id_a"].filter(keep),
+                         "b_id": t["id_b"].filter(keep),
+                         "dist": d[d <= k]})
 
-    joined = _attach_strings(cand, ds, id_col, str_col,
-                             num_partitions=num_partitions)
-
-    def verify(t: pa.Table) -> pa.Table:
-        d = editdist_batch(t["s_a"].to_pylist(), t["s_b"].to_pylist(), k)
-        keep = d <= k
-        return pa.table({"a_id": t["a_id"].to_numpy()[keep],
-                         "b_id": t["b_id"].to_numpy()[keep],
-                         "dist": d[keep]})
-
-    out = joined.map_batches(verify, batch_format="pyarrow").to_pandas()
-    if len(out) == 0:
-        return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
-                             "b_id": pd.Series([], dtype="int64"),
-                             "dist": pd.Series([], dtype="int64")})
-    return (out.drop_duplicates(["a_id", "b_id"])
-            .astype({"a_id": "int64", "b_id": "int64", "dist": "int64"})
-            .sort_values(["a_id", "b_id"]).reset_index(drop=True))
-
-
-def _attach_strings(cand: rd.Dataset, ds: rd.Dataset, id_col: str,
-                    str_col: str, *, num_partitions: int) -> rd.Dataset:
-    """Attach s_a / s_b to candidate pairs: semi-filter the string table
-    to pair ids, broadcast it under the 64 MiB cap (one ``ray.put``,
-    read per task), hash-join both sides above it."""
-    from .joins import BROADCAST_THRESHOLD_BYTES, _pull_table
-
-    pair_tbl = _pull_table(cand)
-    if pair_tbl is None or pair_tbl.num_rows == 0:
-        return rd.from_arrow(pa.table({
-            "a_id": pa.array([], pa.int64()), "b_id": pa.array([], pa.int64()),
-            "s_a": pa.array([], pa.string()), "s_b": pa.array([], pa.string())}))
-    pair_ids = pa.chunked_array([pair_tbl["a_id"].combine_chunks(),
-                                 pair_tbl["b_id"].combine_chunks()]).unique()
-    ids_ref = ray.put(pair_ids)
-
-    needed = ds.map_batches(
-        lambda t: pa.table({id_col: t[id_col], str_col: t[str_col]}).filter(
-            pc.is_in(t[id_col], value_set=ray.get(ids_ref))),
-        batch_format="pyarrow").materialize()
-
-    if (needed.size_bytes() or 0) <= BROADCAST_THRESHOLD_BYTES:
-        side_tbl = _pull_table(needed).combine_chunks()
-        mref = ray.put(side_tbl)
-
-        def attach(t: pa.Table) -> pa.Table:
-            side = ray.get(mref)
-            ia = pc.index_in(t["a_id"], value_set=side[id_col])
-            ib = pc.index_in(t["b_id"], value_set=side[id_col])
-            return (t.append_column("s_a", pc.take(side[str_col], ia))
-                    .append_column("s_b", pc.take(side[str_col], ib)))
-
-        return cand.map_batches(attach, batch_format="pyarrow")
-
-    def side(suffix: str) -> rd.Dataset:
-        return needed.map_batches(
-            lambda t, s=suffix: pa.table({f"key_{s}": t[id_col],
-                                          f"s_{s}": t[str_col]}),
-            batch_format="pyarrow")
-
-    return (cand.join(side("a"), join_type="inner",
-                      num_partitions=num_partitions,
-                      on=("a_id",), right_on=("key_a",))
-            .join(side("b"), join_type="inner",
-                  num_partitions=num_partitions,
-                  on=("b_id",), right_on=("key_b",)))
+    return result(verify(cand, ds, id_col, [str_col], score,
+                         num_partitions=num_partitions),
+                  {"a_id": "int64", "b_id": "int64", "dist": "int64"})

@@ -48,6 +48,7 @@ import ray.data as rd
 from ray.data.aggregate import Min, Sum
 
 from .exchange import bucket_of, exchange
+from .pairs import _pairs_within_runs, pack, unpack
 
 
 def _undirect(edges: rd.Dataset, col_a: str, col_b: str) -> rd.Dataset:
@@ -445,26 +446,6 @@ def _pagerank_broadcast(edges_d: rd.Dataset, nodes: rd.Dataset, *,
 # Triangle counting (degree-ordered orientation)
 # ---------------------------------------------------------------------------
 
-def _pairs_within_runs(runkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized all-pairs index generator over CONTIGUOUS runs of
-    equal ``runkey``: returns (first_idx, second_idx) with
-    first_idx < second_idx and runkey[first] == runkey[second] — every
-    unordered pair inside every run, no Python loop over runs."""
-    n = len(runkey)
-    if n == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
-    starts = np.flatnonzero(np.r_[True, runkey[1:] != runkey[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    k = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)  # offset in run
-    second = np.repeat(np.arange(n, dtype=np.int64), k)   # j repeated k_j times
-    csum = np.r_[0, np.cumsum(k)]
-    # for each j: run_start_j + (0 .. k_j-1)
-    first = (np.arange(csum[-1], dtype=np.int64)
-             - np.repeat(csum[:-1], k)
-             + np.repeat(np.repeat(starts, sizes), k))
-    return first, second
-
-
 def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
                     col_b: str = "id_b", *, n_buckets: int = 32,
                     num_partitions: int = 8,
@@ -513,20 +494,16 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
 
     from .joins import lookup_join
 
-    _SH = np.int64(31)
-    _MASK = np.int64((1 << 31) - 1)
-
     def _dedup(t: pa.Table) -> pa.Table:
         lo = pc.min_element_wise(t[col_a], t[col_b])
         hi = pc.max_element_wise(t[col_a], t[col_b])
-        key = np.unique(
-            (lo.to_numpy(zero_copy_only=False).astype(np.int64) << _SH)
-            | hi.to_numpy(zero_copy_only=False).astype(np.int64))
+        key = np.unique(pack(lo.to_numpy(zero_copy_only=False),
+                             hi.to_numpy(zero_copy_only=False)))
         return pa.table({"key": key})
 
     def _bucket_distinct(t: pa.Table) -> pd.DataFrame:
-        key = np.unique(t["key"].to_numpy())
-        return pd.DataFrame({"a": key >> _SH, "b": key & _MASK})
+        a, b = unpack(np.unique(t["key"].to_numpy()))
+        return pd.DataFrame({"a": a, "b": b})
 
     e = exchange(edges.map_batches(_dedup, batch_format="pyarrow"), "key",
                  _bucket_distinct, n_buckets) \
@@ -537,7 +514,7 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
     def _partial_credit(x: np.ndarray, key: np.ndarray) -> pd.DataFrame:
         # fold this task's triangle matches (x = wedge apex u,
         # key = packed (v, w)) into per-node count partials
-        allv = np.concatenate([x, key >> _SH, key & _MASK])
+        allv = np.concatenate([x, *unpack(key)])
         node, cnt = np.unique(allv, return_counts=True)
         return pd.DataFrame({"node": node.astype(np.int64),
                              "n_tri": cnt.astype(np.int64)})
@@ -562,15 +539,15 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
         node, inv = np.unique(np.concatenate([a, b]),
                               return_inverse=True)
         d = np.bincount(inv).astype(np.int64)
-        rka = (d[inv[:len(a)]] << _SH) | a
-        rkb = (d[inv[len(a):]] << _SH) | b
+        rka = pack(d[inv[:len(a)]], a)
+        rkb = pack(d[inv[len(a):]], b)
         swap = rkb < rka
         u = np.where(swap, b, a)
         v = np.where(swap, a, b)
         rkv = np.where(swap, rka, rkb)
         ordr = np.lexsort((rkv, u))   # by u, rank(v) within u's run
         u, v = u[ordr], v[ordr]
-        keys_sorted = np.sort((u << _SH) | v)
+        keys_sorted = np.sort(pack(u, v))
         # chunk at u-run boundaries, balanced by Σ C(run, 2) wedge cost
         starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
         lens = np.diff(np.r_[starts, len(u)])
@@ -589,7 +566,7 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
                 fi, si = _pairs_within_runs(uu[s:t])
                 if len(fi) == 0:
                     continue
-                wkey = (vv[s:t][fi] << _SH) | vv[s:t][si]
+                wkey = pack(vv[s:t][fi], vv[s:t][si])
                 pos = np.searchsorted(ks, wkey)
                 hit = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)]
                                          == wkey)
@@ -653,10 +630,8 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
         def _orient(t: pa.Table) -> pa.Table:
             a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
             b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            rka = (t["da"].to_numpy(zero_copy_only=False)
-                   .astype(np.int64) << _SH) | a
-            rkb = (t["db"].to_numpy(zero_copy_only=False)
-                   .astype(np.int64) << _SH) | b
+            rka = pack(t["da"].to_numpy(zero_copy_only=False), a)
+            rkb = pack(t["db"].to_numpy(zero_copy_only=False), b)
             swap = rkb < rka
             u = np.where(swap, b, a)
             v = np.where(swap, a, b)
@@ -674,15 +649,14 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
             if len(fi) == 0:
                 return (np.empty(0, dtype=np.int64),) * 2
             vv = g["v"].to_numpy()
-            return g["u"].to_numpy()[fi], (vv[fi] << _SH) | vv[si]
+            return g["u"].to_numpy()[fi], pack(vv[fi], vv[si])
 
         def _wedges(t: pa.Table) -> pd.DataFrame:
             u, wkey = _wedge_keys(t.to_pandas())
             return pd.DataFrame({"key": wkey, "u": u})
 
         def _edge_keys(t: pa.Table) -> pa.Table:
-            key = ((np.asarray(t["u"], dtype=np.int64) << _SH)
-                   | np.asarray(t["v"], dtype=np.int64))
+            key = pack(np.asarray(t["u"]), np.asarray(t["v"]))
             return pa.table({
                 "key": key, "u": np.full(len(key), -1, dtype=np.int64)})
 

@@ -11,8 +11,15 @@ routes the join:
   once (bounded by the threshold — never fact-table-scale), ``ray.put``s
   it, and the probe side streams through a vectorized ``map_batches``
   (``pc.is_in`` / ``pc.index_in``). Zero shuffle of the probe side.
-- ``> threshold_bytes``: hash-partitioned ``Dataset.join`` — both sides
-  shuffle, nothing is ever driver-materialized.
+- ``> threshold_bytes``: one two-sided ``exchange`` on the key — both
+  sides shuffle, and each bucket runs the same ``index_in`` probe
+  against its own build rows. Nothing is ever driver-materialized.
+  Not ``Dataset.join``: in Ray 2.49 two chained joins of 8 partitions
+  never finished on a 4-CPU Ray cluster (each join's aggregator actors
+  reserve CPUs sized to half the cluster), and a join over another
+  join's output failed because empty hash partitions come back as
+  blocks without columns. The exchange hands a fold only non-empty
+  buckets, padded to one schema.
 
 At 100 TB a fact-scale build side always exceeds the cap and takes the
 shuffle path; the cap is what makes the broadcast path scale-safe (the
@@ -21,10 +28,13 @@ driver's exposure is O(threshold), not O(data)).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+
+from .exchange import exchange
 
 BROADCAST_THRESHOLD_BYTES = 64 << 20
 
@@ -41,6 +51,55 @@ def _pull_table(ds: rd.Dataset) -> pa.Table:
     if not tables:
         return None
     return pa.concat_tables(tables, promote_options="default")
+
+
+def _probe(t: pa.Table, side: pa.Table, key: str, side_key: str,
+           payload_cols: list[str]) -> pa.Table:
+    """Rows of ``t`` whose ``key`` is in ``side[side_key]``, with
+    ``payload_cols`` of the first matching side row appended."""
+    idx = pc.index_in(t[key], value_set=side[side_key])
+    keep = pc.is_valid(idx)
+    out, hit = t.filter(keep), idx.filter(keep)
+    for c in payload_cols:
+        out = out.append_column(c, side[c].take(hit))
+    return out
+
+
+def _hash_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
+               dim_key: str, payload_cols: list[str],
+               num_partitions: int) -> rd.Dataset:
+    """The above-cap join: fact and dim rows, null-padded to one schema
+    and told apart by ``_dim``, share one ``exchange`` on the key, and
+    each bucket's fact rows ``_probe`` its dim rows. ``fact`` is
+    materialized first: its schema pads the dim rows."""
+    fact = fact.materialize()
+    fs = fact.schema()
+    if fs is None:
+        return fact  # no rows, no columns
+    fs = fs.base_schema
+    ps = pa.schema([dim.schema().base_schema.field(c) for c in payload_cols])
+    ktype = fs.field(fact_key).type
+
+    def pad(t: pa.Table, is_dim: bool, key: pa.ChunkedArray) -> pa.Table:
+        n = t.num_rows
+        cols = {f.name: (pa.nulls(n, f.type) if is_dim else t[f.name])
+                for f in fs}
+        cols.update({f.name: (t[f.name] if is_dim else pa.nulls(n, f.type))
+                     for f in ps})
+        cols.update(_key=key.cast(ktype), _dim=pa.array(np.full(n, is_dim)))
+        return pa.table(cols)
+
+    def fold(t: pa.Table) -> pa.Table:
+        is_dim = t["_dim"]
+        return _probe(t.filter(pc.invert(is_dim)).select(fs.names),
+                      t.filter(is_dim), fact_key, "_key", payload_cols)
+
+    return exchange(
+        [fact.map_batches(lambda t: pad(t, False, t[fact_key]),
+                          batch_format="pyarrow"),
+         dim.map_batches(lambda t: pad(t, True, t[dim_key]),
+                         batch_format="pyarrow")],
+        "_key", fold, num_partitions)
 
 
 def semi_join(fact: rd.Dataset, keys: rd.Dataset, fact_key: str,
@@ -79,9 +138,7 @@ def semi_join(fact: rd.Dataset, keys: rd.Dataset, fact_key: str,
         # slicing), which also preserves the input's block boundaries
         return fact.map_batches(probe, batch_format="pyarrow",
                                 batch_size=None)
-    joined = fact.join(k, join_type="inner", num_partitions=num_partitions,
-                       on=(fact_key,), right_on=(key_col,))
-    return joined.select_columns(fact.schema().names)
+    return _hash_join(fact, k, fact_key, key_col, [], num_partitions)
 
 
 def lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
@@ -96,24 +153,10 @@ def lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
         if tbl is None:
             return fact.filter(lambda row: False)
         ref = ray.put(tbl.select([dim_key] + payload_cols).combine_chunks())
-
-        def probe(t: pa.Table) -> pa.Table:
-            side = ray.get(ref)
-            idx = pc.index_in(t[fact_key], value_set=side[dim_key])
-            keep = pc.is_valid(idx)
-            out = t.filter(keep)
-            hit = idx.filter(keep)
-            for c in payload_cols:
-                out = out.append_column(c, side[c].take(hit))
-            return out
-
-        return fact.map_batches(probe, batch_format="pyarrow",
-                                batch_size=None)
-    joined = fact.join(d, join_type="inner", num_partitions=num_partitions,
-                       on=(fact_key,), right_on=(dim_key,))
-    # Project to the broadcast path's schema (fact columns + payload
-    # only) so crossing the size cap never changes downstream schemas.
-    return joined.select_columns(fact.schema().names + payload_cols)
+        return fact.map_batches(
+            lambda t: _probe(t, ray.get(ref), fact_key, dim_key, payload_cols),
+            batch_format="pyarrow", batch_size=None)
+    return _hash_join(fact, d, fact_key, dim_key, payload_cols, num_partitions)
 
 
 def adaptive_partitions(n_rows: int, rows_per_partition: int = 100_000,

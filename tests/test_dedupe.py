@@ -404,6 +404,7 @@ def test_similarity_join_equals_brute_force(ray_session):
                     if inter * 1000 >= thr_mille * union:
                         exp.add((a, b, inter, union))
         assert got_rows == exp, thr
+        assert len(got) == len(got_rows), thr  # one row per pair
     # the designed cases actually bind: cross pair found at 0.5,
     # same-side identical docs never emitted
     got = similarity_join_jaccard(ds, "text", "doc_id", "side", 0.5)
@@ -511,3 +512,68 @@ def test_containment_pairs_rejects_ids_outside_31_bits(ray_session):
         {"doc_id": pa.array([], pa.int64()),
          "text": pa.array([], pa.string())})), "text", "doc_id")
     assert len(empty) == 0
+
+
+def _no_pair_ops():
+    from realestate_scraper_ray.stages import dedupe as D
+    from realestate_scraper_ray.stages.fuzzy import fuzzy_selfjoin_editdist
+    return {
+        "minhash": lambda ds: D.minhash_lsh_pairs(ds, "text", "doc_id"),
+        "simhash": lambda ds: D.simhash_pairs(ds, "text", "doc_id"),
+        "ngram": lambda ds: D.ngram_jaccard_pairs(ds, "text", "doc_id"),
+        "simjoin": lambda ds: D.similarity_join_jaccard(
+            ds, "text", "doc_id", "side"),
+        "containment": lambda ds: D.containment_pairs(ds, "text", "doc_id"),
+        "embedding": lambda ds: D.embedding_neardup_pairs(
+            ds, "embedding", "doc_id", tau=0.5),
+        "embedding_lsh": lambda ds: D.embedding_neardup_lsh(
+            ds, "embedding", "doc_id", tau=0.5),
+        "fuzzy": lambda ds: fuzzy_selfjoin_editdist(ds, "doc_id", "text"),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_no_pair_ops()))
+def test_no_pair_corpus_gives_typed_empty(ray_session, op):
+    """Three unrelated documents (orthogonal embeddings, one per side):
+    every pair operator returns zero rows with int64 pair ids."""
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "side": pa.array([0, 1, 0], pa.int64()),
+        "text": ["alpha beta gamma delta", "one two three four",
+                 "red green blue yellow"],
+        "embedding": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+    out = _no_pair_ops()[op](ds)
+    assert len(out) == 0
+    assert [str(t) for t in out.dtypes.iloc[:2]] == ["int64", "int64"]
+
+
+def test_verify_paths_match_bruteforce(corpus, monkeypatch):
+    """MinHash and containment verify broadcast the side table under
+    the cap and hash-join it above; both paths give the brute-force
+    pairs and counts."""
+    from realestate_scraper_ray.functions.textstats import word_shingle_set
+    from realestate_scraper_ray.stages import joins
+    from realestate_scraper_ray.stages.dedupe import containment_pairs
+    rows = corpus.take_all()
+    sets = {r["doc_id"]: word_shingle_set(r["text"], 3) for r in rows}
+    ids = sorted(sets)
+    jac = {(a, b): len(sets[a] & sets[b]) / len(sets[a] | sets[b])
+           for a in ids for b in ids if a < b}
+    exp_mh = {p: j for p, j in jac.items() if j >= 0.5}
+    exp_ct = {(a, b): (len(sets[a] & sets[b]), len(sets[a]))
+              for a in ids for b in ids
+              if a != b and len(sets[a] & sets[b]) * 1000
+              >= 800 * len(sets[a])}
+    assert exp_mh and exp_ct
+    for cap in (joins.BROADCAST_THRESHOLD_BYTES, 0):
+        monkeypatch.setattr(joins, "BROADCAST_THRESHOLD_BYTES", cap)
+        mh = minhash_lsh_pairs(corpus, "text", "doc_id", threshold=0.5,
+                               num_perm=64, bands=32)
+        assert dict(zip(zip(mh.id_a, mh.id_b), mh.jaccard)) == \
+            pytest.approx(exp_mh), cap
+        assert len(mh) == len(exp_mh), cap  # one row per pair
+        ct = containment_pairs(corpus, "text", "doc_id", threshold=0.8)
+        assert {(a, b): (i, n) for a, b, i, n in zip(
+            ct.contained_id, ct.container_id, ct.inter_n,
+            ct.n_contained)} == exp_ct, cap
+        assert len(ct) == len(exp_ct), cap

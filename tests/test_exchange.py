@@ -113,15 +113,18 @@ def test_exchange_empty_dataset(ray_session):
 
 _PKG = pathlib.Path(__file__).resolve().parent.parent / "realestate_scraper_ray"
 
-# the only places a raw hash constant, a bucket shuffle or a value
-# rounding may live: the splitmix64 / MinHash kernels, the exchange and
-# the aggregate primitive's one money-scaling rule. No version-dependent
-# polars hash is allowed anywhere.
+# the only places a raw hash constant, a bucket shuffle, a value
+# rounding, a 31-bit pair packing or a row normalization may live: the
+# splitmix64 / MinHash kernels, the exchange, the aggregate primitive's
+# one money-scaling rule, the pair primitive and ``_norm_rows``. No
+# version-dependent polars hash is allowed anywhere.
 _ALLOWED = {
     "0x9E3779B97F4A7C15": {"functions/sketches.py", "functions/textstats.py"},
     "hash(seed=": set(),
     'groupby("_bkt")': {"stages/exchange.py"},
     "pc.round(": {"stages/aggregate.py"},
+    "(1 << 31) - 1": {"stages/pairs.py"},
+    "np.linalg.norm(": {"stages/similarity.py"},
 }
 
 

@@ -120,3 +120,31 @@ def test_selfjoin_k2_matches_bruteforce(ray_session, tmp_path):
     exp = _brute_pairs(names, 2)
     assert set(zip(got.a_id, got.b_id)) == exp
     assert (got.dist <= 2).all() and (got.dist >= 0).all()
+
+
+def test_selfjoin_ids_beyond_31_bits(ray_session):
+    """Pairs are deduplicated on both id columns, not on a 31-bit
+    packed key, which would alias (4, 2**31 + 7) to (5, 7): any int64
+    id joins."""
+    ds = rd.from_arrow(pa.table({
+        "id": pa.array([4, 2**31 + 7, 5, 7], pa.int64()),
+        "name": ["abcd", "abce", "qqqq", "zzzy"]}))
+    got = fuzzy_selfjoin_editdist(ds, "id", "name", k=1)
+    assert list(zip(got.a_id, got.b_id, got.dist)) == [(4, 2**31 + 7, 1)]
+
+
+def test_selfjoin_both_verify_paths(ray_session, monkeypatch):
+    """The string attach broadcasts under the cap and hash-joins above
+    it; both give the brute-force pairs and distances."""
+    from realestate_scraper_ray.stages import joins
+    names = _noisy_names(120, seed=11)
+    ds = rd.from_arrow(pa.table({
+        "id": pa.array(np.arange(len(names), dtype=np.int64)),
+        "name": pa.array(names)})).repartition(3)
+    exp = _brute_pairs(names, 1)
+    for cap in (joins.BROADCAST_THRESHOLD_BYTES, 0):
+        monkeypatch.setattr(joins, "BROADCAST_THRESHOLD_BYTES", cap)
+        got = fuzzy_selfjoin_editdist(ds, "id", "name", k=1)
+        assert set(zip(got.a_id, got.b_id)) == exp, cap
+        assert all(r.dist == _ed(names[r.a_id], names[r.b_id])
+                   for r in got.itertuples()), cap

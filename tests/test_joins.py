@@ -74,3 +74,24 @@ def test_semi_join_duplicate_keys_across_blocks():
     pd.testing.assert_frame_equal(b, s)
     assert len(b) == 6  # 2,2,3,5,5,5 — one output row per fact row
     assert sorted(b["k"].unique()) == [2, 3, 5]
+
+
+def test_chained_lookup_joins_above_cap():
+    """Two lookup joins in one plan, both above the cap, with more
+    partitions than keys (most hash buckets empty): the second join
+    reads the first one's output and both attach the same payload as
+    the broadcast path."""
+    def run():
+        cap = J.BROADCAST_THRESHOLD_BYTES
+        dim2 = rd.from_arrow(pa.table({"dk2": ["b", "c", "e"],
+                                       "rank": [1, 2, 3]}))
+        one = J.lookup_join(_fact(), _dim(), "k", "dk", ["name"],
+                            num_partitions=8, threshold_bytes=cap)
+        two = J.lookup_join(one, dim2, "name", "dk2", ["rank"],
+                            num_partitions=8, threshold_bytes=cap)
+        return (two.to_pandas()[["k", "v", "name", "rank"]]
+                .sort_values(["k", "v"]).reset_index(drop=True))
+
+    b, s = _run_both(run)
+    pd.testing.assert_frame_equal(b, s)
+    assert b["rank"].tolist() == [1, 1, 2, 3, 3, 3]
