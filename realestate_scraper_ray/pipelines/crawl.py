@@ -3,10 +3,12 @@
 Architecture (SURVEY.md §7.1): per generation ("wave"), ONE streamed
 Ray Data execution does everything row-shaped:
 
-    frontier/gen=G ──read_parquet (uniform blocks, priority-ordered
-                     paths: part-p0-… pagination streams first)──▶
-      map_batches(wave):  fetch+parse (per-worker cached state:
-                          politeness, robots, retries)
+    frontier/gen=G ──footers read on the driver: row groups packed,
+                     in sorted path order (part-p0-… pagination first),
+                     into ≤ fetch_batch_size-row manifests──▶
+      from_arrow(manifests).map_batches(wave), one task per manifest:
+                          read its row groups, fetch+parse (per-worker
+                          cached state: politeness, robots, retries)
         ├─▶ offers  → workdir/offers/gen=G   (atomic fragments)
         ├─▶ photos  → workdir/photos/gen=G
         ├─▶ links   → cuckoo URL-seen shards (test-and-set) →
@@ -41,7 +43,6 @@ import itertools
 import json
 import os
 import shutil
-import threading
 import uuid
 from dataclasses import asdict, dataclass, field, replace
 
@@ -211,7 +212,6 @@ _FRAG_COUNTER = itertools.count()
 # of a `ray job submit` cluster sharing one --workdir, so a pid+counter
 # fragment name could silently overwrite another node's fragment
 _FRAG_TOKEN = uuid.uuid4().hex[:8]
-_READ_LOCK = threading.Lock()
 
 
 def _host_buckets(urls: pa.Array | pa.ChunkedArray, cfg: CrawlConfig) -> np.ndarray:
@@ -270,13 +270,14 @@ def _write_fragment(table: pa.Table, dirpath: str,
     — the token guards against pid collisions across nodes; the driver
     removes the whole generation directory before (re)running a wave, so
     retried waves replace rather than append (idempotent resume).
-    ``row_group_size`` keeps frontier fragments splittable: the next
-    wave's read fans out at row-group granularity (override_num_blocks),
-    so wave parallelism never collapses to the writer's task count.
+    ``row_group_size`` bounds what a next-wave task decodes: the row
+    group is the unit a fetch batch reads, and the driver packs and
+    slices row groups into batches (``_pack_batches``), so wave
+    parallelism never follows the writer's task count.
     ``prefix`` encodes frontier priority into the file name ("p0-" <
-    "p1-" < "p2-"): read_parquet lists paths in sorted order, so
-    pagination blocks stream into the fetch stage before investment and
-    detail blocks — the priority queue (north_rule; SURVEY.md §2.6 O2)
+    "p1-" < "p2-"): the driver packs paths in sorted order, so
+    pagination batches enter the fetch stage before investment and
+    detail batches — the priority queue (north_rule; SURVEY.md §2.6 O2)
     with no per-wave sort shuffle."""
     if table.num_rows == 0:
         return
@@ -400,8 +401,8 @@ def make_wave_fn(portal_cfg: PortalConfig, cfg: CrawlConfig,
         # detail rows by host bucket so same-(host,salt) URLs land in
         # contiguous fragments → contiguous fetch tasks (politeness
         # locality) with no all-to-all shuffle; fixed-size fragments so
-        # the next wave's read yields uniform ~batch_size blocks and no
-        # fetch task becomes a multi-hundred-page straggler
+        # the next wave packs uniform ~batch_size batches and no fetch
+        # task becomes a multi-hundred-page straggler
         if det.num_rows:
             buckets = _host_buckets(det["url"], cfg)
             det = det.take(pa.array(np.argsort(buckets, kind="stable")))
@@ -463,28 +464,88 @@ def _frontier_dir(workdir: str, gen: int) -> str:
     return gen_dir(workdir, "frontier", gen)
 
 
-def _frontier_windows(workdir: str, gen: int,
-                      cfg: CrawlConfig) -> list[tuple[list[str], int]]:
-    """Generation ``gen``'s frontier as bounded ``(paths, rows)``
-    windows, one footer read per fragment; ``[]`` when it has no rows.
-    File-granular: the sorted "part-p{prio}-…" names keep priority
-    order, and no window grows past ``cfg.max_wave_rows`` by more than
-    its last fragment, so one execution never has to hold an
-    arbitrarily large frontier."""
+def _frontier_windows(workdir: str, gen: int, cfg: CrawlConfig
+                      ) -> list[list[tuple[str, int, int]]]:
+    """Generation ``gen``'s frontier as bounded windows of row groups
+    ``(path, row_group, rows)``, one footer read per fragment; ``[]``
+    when it has no rows. File-granular: the sorted "part-p{prio}-…"
+    names keep priority order, and no window grows past
+    ``cfg.max_wave_rows`` by more than its last fragment, so one
+    execution never has to hold an arbitrarily large frontier."""
     d = _frontier_dir(workdir, gen)
     if not os.path.isdir(d):
         return []
-    windows: list[tuple[list[str], int]] = [([], 0)]
+    windows: list[list[tuple[str, int, int]]] = [[]]
+    rows = 0
     for f in sorted(f for f in os.listdir(d) if f.endswith(".parquet")):
-        paths, rows = windows[-1]
-        paths.append(os.path.join(d, f))
-        rows += pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
-        windows[-1] = (paths, rows)
+        path = os.path.join(d, f)
+        md = pq.ParquetFile(path).metadata
+        for i in range(md.num_row_groups):
+            n = md.row_group(i).num_rows
+            if n:
+                windows[-1].append((path, i, n))
+                rows += n
         if cfg.max_wave_rows is not None and rows >= cfg.max_wave_rows:
-            windows.append(([], 0))
-    if not any(rows for _, rows in windows):
-        return []
-    return [w for w in windows if w[0]]
+            windows.append([])
+            rows = 0
+    return [w for w in windows if w]
+
+
+# one fetch batch's share of the frontier: row group ``row_group`` of
+# ``path``, rows [offset, offset + rows)
+_MANIFEST = pa.schema([("path", pa.string()), ("row_group", pa.int32()),
+                       ("offset", pa.int64()), ("rows", pa.int64())])
+
+
+def _pack_batches(groups: list[tuple[str, int, int]], batch_size: int,
+                  ncpu: int) -> list[list[tuple[str, int, int, int]]]:
+    """A window's row groups ``(path, row_group, rows)`` packed, in
+    order, into fetch batches of ``(path, row_group, offset, rows)``
+    pieces. Every batch but the last holds exactly the cap, so a window
+    of n rows runs as ceil(n / cap) tasks; a row group that crosses a
+    batch boundary (or exceeds the cap) is sliced there. The cap is
+    ``batch_size``, except that a small window (fewer batch-sized
+    batches than ``ncpu``) lowers it, down to 8 rows, until every CPU
+    has a batch: one batch-sized task would idle the rest of the pool
+    for a whole frontier round trip."""
+    n = sum(rows for _, _, rows in groups)
+    cap = batch_size
+    if -(-n // batch_size) < ncpu:
+        cap = min(batch_size, max(8, -(-n // ncpu)))
+    batches: list[list[tuple[str, int, int, int]]] = []
+    cur: list[tuple[str, int, int, int]] = []
+    fill = 0
+    for path, rg, rows in groups:
+        off = 0
+        while off < rows:
+            k = min(cap - fill, rows - off)
+            cur.append((path, rg, off, k))
+            fill += k
+            off += k
+            if fill == cap:
+                batches.append(cur)
+                cur, fill = [], 0
+    if cur:
+        batches.append(cur)
+    return batches
+
+
+def _manifest(batch: list[tuple[str, int, int, int]]) -> pa.Table:
+    """One ``_pack_batches`` batch as the ``_MANIFEST`` table its task gets."""
+    return pa.Table.from_pylist(
+        [dict(zip(_MANIFEST.names, piece)) for piece in batch],
+        schema=_MANIFEST)
+
+
+def _read_batch(manifest: pa.Table) -> pa.Table:
+    """The frontier rows a ``_MANIFEST`` table names, in its order."""
+    parts, files = [], {}
+    for path, rg, off, rows in zip(*(manifest[c].to_pylist()
+                                     for c in _MANIFEST.names)):
+        if path not in files:
+            files[path] = pq.ParquetFile(path)
+        parts.append(files[path].read_row_group(rg).slice(off, rows))
+    return pa.concat_tables(parts)
 
 
 def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
@@ -566,9 +627,10 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
             gen = 0
             d = _frontier_dir(workdir, 0)
             os.makedirs(d)
-            # small row groups: read_parquet can only split at row-group
-            # granularity, and the seed wave must fan out across workers
-            # (one row group would pin generation 0 to a single task)
+            # small row groups: the row group is the unit a fetch batch
+            # reads, and a small seed wave is spread in batches of down
+            # to 8 rows, so groups of 8 keep each task decoding only the
+            # rows it fetches
             pq.write_table(_seed_table(portal, cfg),
                            os.path.join(d, "part-p0-seeds.parquet"),
                            row_group_size=8)
@@ -778,7 +840,7 @@ def _pending_quarantined_offer_pages(workdir: str) -> pa.Table | None:
 def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
               urlseen: UrlSeenService, politeness: PolitenessService,
               state: dict, run_token: str,
-              windows: list[tuple[list[str], int]]) -> None:
+              windows: list[list[tuple[str, int, int]]]) -> None:
     """Run wave ``gen`` over its (non-empty) ``_frontier_windows``, one
     execution per window, and fold the summaries into ``state``."""
     # replace-on-retry: this wave's outputs are recreated from scratch
@@ -790,34 +852,20 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
     wave_fn = make_wave_fn(portal.cfg, cfg, politeness, urlseen, workdir, gen,
                            run_token)
 
-    def run_window(win: tuple[list[str], int]) -> list[dict]:
-        paths, n_rows = win
-        # split the read into ~one block per fetch batch (row-group-
-        # granular splits) so the read's task count tracks window size,
-        # not the previous wave's writer-task count. This is not the
-        # wave's fan-out: the read (ReadParquet) and the map
-        # (MapBatches(wave)) run as two operators, because max_retries
-        # and batch_size are set on the map only, and the map re-bundles
-        # blocks up to fetch_batch_size rows, so one map task can run
-        # several batches back to back (ROADMAP: wave fusion). Sorted
-        # paths keep the priority queue: pagination (p0) blocks stream
-        # into the fetch stage before investment (p1) before detail
-        # (p2) — no sort shuffle (north_rule; SURVEY.md §2.6 O2)
-        nblocks = max(1, -(-n_rows // cfg.fetch_batch_size))
-        # small waves (seed wave, deep-pagination tail): one batch-sized
-        # block would idle most of the cluster for a whole frontier
-        # round-trip; spread down to 8-row blocks until every CPU has
-        # work (row-group granularity permitting)
-        ncpu = int(ray.cluster_resources().get("CPU", 1))
-        if nblocks < ncpu:
-            nblocks = min(ncpu, max(1, -(-n_rows // 8)))
-        # datasource creation is serialized: ray's path resolution
-        # probes `fsspec.implementations.http`, whose (always-failing,
-        # aiohttp-less) import races under concurrent windows into a
-        # bare ImportError that ray does not catch; the lock covers
-        # only the cheap metadata step, execution stays concurrent
-        with _READ_LOCK:
-            ds = rd.read_parquet(paths, override_num_blocks=nblocks)
+    def run_batch(manifest: pa.Table) -> pa.Table:
+        return wave_fn(_read_batch(manifest))
+
+    def run_window(groups: list[tuple[str, int, int]]) -> list[dict]:
+        # one operator, one task per fetch batch: the driver already read
+        # the footers, so each task reads its own row groups and no read
+        # stage (with its metadata sampling tasks) runs in front of the
+        # wave. Batches keep the sorted path order, so pagination (p0)
+        # batches are submitted before investment (p1) before detail
+        # (p2) — the priority queue with no sort shuffle (north_rule;
+        # SURVEY.md §2.6 O2)
+        batches = _pack_batches(groups, cfg.fetch_batch_size,
+                                int(ray.cluster_resources().get("CPU", 1)))
+        manifests = [_manifest(b) for b in batches]
         # max_retries=0: wave tasks perform NON-IDEMPOTENT side effects
         # (fragment writes + URL-seen test-and-set), and Ray's default
         # transparently re-runs a task whose worker died — a silently
@@ -827,10 +875,10 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
         # loudly instead is recoverable: resume=True replays from the
         # last checkpoint, whose replace-on-retry semantics ARE
         # idempotent (tested byte-identical).
-        return ds.map_batches(
-            wave_fn, batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-            concurrency=cfg.fetch_concurrency,
+        return rd.from_arrow(manifests).map_batches(
+            run_batch, batch_format="pyarrow", batch_size=None,
+            concurrency=(min(cfg.fetch_concurrency, len(batches))
+                         if cfg.fetch_concurrency else None),
             num_cpus=cfg.fetch_num_cpus,
             max_retries=0).take_all()
 
@@ -908,10 +956,10 @@ def _run_wave(portal: Portal, cfg: CrawlConfig, workdir: str, gen: int,
 
     if next_rows:
         os.makedirs(next_dir, exist_ok=True)
-        # row_group_size=8: read_parquet splits only at row-group
-        # granularity, so one big group would serialize every region's
-        # pagination fetch into a single task each wave (the same
-        # reason the gen-0 seed file uses row groups of 8)
+        # row_group_size=8: the row group is the unit a fetch batch
+        # reads, so when these rows spread over several tasks each one
+        # decodes only about its own rows (the same reason the gen-0
+        # seed file uses groups of 8)
         pq.write_table(pa.Table.from_pylist(next_rows, schema=FRONTIER),
                        os.path.join(next_dir, "part-p0-driver.parquet"),
                        row_group_size=8)

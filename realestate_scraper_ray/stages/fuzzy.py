@@ -132,7 +132,10 @@ def editdist_batch(sa: list[str], sb: list[str], kmax: int) -> np.ndarray:
     vectorized ACROSS the pair axis (the j-dependency loop runs over
     character positions only — max_len² scalar steps of O(n_pairs)
     vector work). Pairs with |len a − len b| > kmax short-circuit to
-    kmax+1 (they can never pass the join threshold)."""
+    kmax+1 (they can never pass the join threshold). The DP runs per
+    length class (pairs sorted by their longer string, one chunk per
+    power-of-two length band), so one long outlier costs its own
+    chunk's square, not every pair's."""
     n = len(sa)
     if n == 0:
         return np.empty(0, np.int64)
@@ -140,14 +143,29 @@ def editdist_batch(sa: list[str], sb: list[str], kmax: int) -> np.ndarray:
     la = np.array([len(x) for x in ca], np.int64)
     lb = np.array([len(x) for x in cb], np.int64)
     ans = np.full(n, kmax + 1, np.int64)
-    live = np.abs(la - lb) <= kmax
-    if not live.any():
+    idx = np.flatnonzero(np.abs(la - lb) <= kmax)
+    if not len(idx):
         return ans
-    idx = np.flatnonzero(live)
-    la, lb = la[idx], lb[idx]
+    band = np.maximum(la[idx], lb[idx])
+    order = np.argsort(band, kind="stable")
+    idx = idx[order]
+    cls = np.log2(np.maximum(band[order], 1)).astype(np.int64)
+    bounds = np.r_[0, np.flatnonzero(cls[1:] != cls[:-1]) + 1, len(idx)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        chunk = idx[lo:hi]
+        ans[chunk] = _editdist_dp([ca[i] for i in chunk],
+                                  [cb[i] for i in chunk],
+                                  la[chunk], lb[chunk])
+    return ans
+
+
+def _editdist_dp(ca: list[np.ndarray], cb: list[np.ndarray],
+                 la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Levenshtein distances of aligned codepoint arrays, one DP over
+    the chunk padded to its longest strings."""
     max_a = int(la.max())
     max_b = int(lb.max())
-    m = len(idx)
+    m = len(ca)
 
     def pad(arrs, width):
         out = np.zeros((m, width), np.uint32)
@@ -161,8 +179,8 @@ def editdist_batch(sa: list[str], sb: list[str], kmax: int) -> np.ndarray:
             out[rows, cols] = flat
         return out
 
-    A = pad([ca[i] for i in idx], max_a)
-    B = pad([cb[i] for i in idx], max_b)
+    A = pad(ca, max_a)
+    B = pad(cb, max_b)
     prev = np.broadcast_to(np.arange(max_b + 1, dtype=np.int32),
                            (m, max_b + 1)).copy()
     res = np.where(la == 0, lb, -1).astype(np.int64)
@@ -178,8 +196,7 @@ def editdist_batch(sa: list[str], sb: list[str], kmax: int) -> np.ndarray:
         if done.any():
             res[done] = cur[done, lb[done]]
         prev = cur
-    ans[idx] = res
-    return ans
+    return res
 
 
 def fuzzy_selfjoin_editdist(ds: rd.Dataset, id_col: str, str_col: str,

@@ -14,6 +14,8 @@ against, on the current machine:
   empty_exec        one no-op map_batches execution over 1 row
   read_exec         read a tiny parquet (Ray splits it 64-way) + no-op
   read_exec_1blk    same read forced to 1 block (override_num_blocks)
+  manifest_exec     the crawl wave's shape: a one-row from_arrow manifest
+                    into one map whose task reads that row group itself
   groupby_64blk     sort-exchange over 64 tiny blocks
   groupby_4blk      the same rows in 4 blocks
   per_block_ms      marginal sort cost per extra input block
@@ -84,6 +86,11 @@ def main() -> None:
         out["read_exec_1blk"] = _t(lambda: rd.read_parquet(
             p, override_num_blocks=1).map_batches(
             lambda t: t, batch_format="pyarrow").materialize())
+        manifest = pa.table({"path": [p], "row_group": [0]})
+        out["manifest_exec"] = _t(lambda: rd.from_arrow(manifest).map_batches(
+            lambda m: pq.ParquetFile(m["path"][0].as_py()).read_row_group(
+                m["row_group"][0].as_py()),
+            batch_format="pyarrow", batch_size=None).materialize())
 
         def grp(nblk: int):
             (rd.read_parquet(p, override_num_blocks=nblk)

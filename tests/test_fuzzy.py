@@ -68,6 +68,32 @@ def test_editdist_batch_matches_sequential():
     assert ((got2 == exp) | ((exp > 2) & (got2 > 2))).all()
 
 
+def test_editdist_batch_long_outlier_among_short_names():
+    # one 200-char pair among short names: the DP runs per length class,
+    # and every class (the outlier's, the empty strings', the short
+    # names') must still give the exact distance
+    rng = random.Random(7)
+    alpha = "abcż"
+
+    def word(n):
+        return "".join(rng.choice(alpha) for _ in range(n))
+
+    sa = [word(rng.randint(0, 12)) for _ in range(300)]
+    sb = [a if rng.random() < 0.3 else word(max(0, len(a) + rng.randint(-2, 2)))
+          for a in sa]
+    long_a = word(200)
+    long_b = long_a[:50] + "x" + long_a[51:150] + long_a[151:]
+    sa.insert(123, long_a)
+    sb.insert(123, long_b)
+    sa += ["", "ab"]
+    sb += ["", ""]
+    exp = np.array([_ed(a, b) for a, b in zip(sa, sb)])
+    assert exp[123] == 2
+    got = editdist_batch(sa, sb, 3)
+    assert ((got == exp) | ((exp > 3) & (got == 4))).all()
+    assert (editdist_batch(sa, sb, 250) == exp).all()
+
+
 def _noisy_names(n: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     base = [f"Widget Model {i:04d}" for i in range(n // 2)]
