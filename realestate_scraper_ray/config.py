@@ -213,11 +213,6 @@ class CrawlConfig:
     # checkpointed — a resumed crawl re-learns hosts' health.
     backoff_factor: float = 1.0
     backoff_cap_mult: float = 16.0
-    # token-bucket burst depth: how many unconsumed slots a host may
-    # carry across wave barriers (a host idle during another host's
-    # wave tail catches up with ≤burst back-to-back requests next wave;
-    # long-run rate stays ≤ rps_per_host). 1 = no carry.
-    politeness_burst: int = 1
     # URL-seen service
     urlseen_shards: int = 8
     urlseen_capacity: int = 1 << 17     # keys per shard (test scale)

@@ -18,11 +18,13 @@ per-shard rows, and its presence marks the output complete. The shard
 key is content-derived (md5 of doc_id), so resuming with a different
 input sharding produces byte-identical shards.
 
-Per-stage semantics are exactly the SQL-oracled catalog queries
-(`quality_quantile_filter`, `source_temperature_sample`,
-`epoch_shuffle`, `sequence_packing` — relational.py), composed; the
-`assembled_training_set` queries() entry checks the whole chain against
-one composed DuckDB oracle.
+Each step is one function: ``quantile_cutoff``, ``temperature_sample``
+and ``epoch_key`` here, and the packer (``stages/packing.py``). The
+SQL-oracled catalog queries (`quality_quantile_filter`,
+`source_temperature_sample`, `epoch_shuffle`, `sequence_packing` —
+relational.py) call the same functions, so the chain is those queries
+composed by construction; the `assembled_training_set` queries() entry
+checks the whole chain against one composed DuckDB oracle.
 """
 
 from __future__ import annotations
@@ -32,14 +34,75 @@ import os
 import uuid
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Count
 
-OUT_COLS = ["doc_id", "source", "n_tokens", "shard", "pos", "pack_bin"]
+from ..functions.textstats import md5_fingerprints, token_counts
+from ..stages.aggregate import grouped
+from ..stages.packing import packed
+
+OUT = pa.schema([("doc_id", pa.int64()), ("source", pa.string()),
+                 ("n_tokens", pa.int64()), ("shard", pa.string()),
+                 ("pos", pa.int64()), ("pack_bin", pa.int64())])
+
+# 2**24: the range of the six-hex-digit md5 prefix a row draws
+_U24 = 16777216.0
+
+
+def quantile_cutoff(ds: rd.Dataset, col: str, q: float) -> int:
+    """The exact ``quantile_disc(col, q)`` of an integer column: the
+    sorted element at index floor((N-1)*q), read off the value-count
+    histogram (token counts are small ints, so the distinct-value set
+    is tiny at any scale) instead of a global sort."""
+    hist = (grouped(ds, [col], {"n": (None, "count")})
+            .sort_values(col).reset_index(drop=True))
+    idx = int(np.floor((int(hist["n"].sum()) - 1) * q))
+    cum = hist["n"].cumsum().to_numpy()
+    return int(hist[col][int(np.searchsorted(cum, idx + 1))])
+
+
+def temperature_sample(ds: rd.Dataset) -> rd.Dataset:
+    """τ=2 source temperature sampling: a row survives iff the first six
+    hex digits of md5(text), as an integer, fall below its source's
+    threshold min(2^24, floor(0.125·sqrt(N)/sqrt(n_source)·2^24)), so
+    the keep probability is ∝ n_source^-0.5 and rare sources are
+    up-weighted. Returns ``ds``'s surviving rows without ``text``.
+    The threshold table (O(#sources)) rides in each task's closure. The
+    double arithmetic has the oracle's association (and 0.125 and 2^24
+    are powers of two), so both sides agree bit for bit."""
+    counts = grouped(ds, ["source"], {"n_g": (None, "count")})
+    n_total = float(counts["n_g"].sum())
+    thr = {s: float(np.minimum(_U24, np.floor(
+        0.125 * np.sqrt(n_total) / np.sqrt(float(n)) * _U24)))
+        for s, n in zip(counts["source"], counts["n_g"])}
+
+    def gate(t: pa.Table) -> pa.Table:
+        fp = md5_fingerprints(t["text"].combine_chunks())
+        # hex prefix → uniform draw in polars' Rust kernel, not a
+        # per-row int(h[:6], 16) loop
+        u = (pl.from_arrow(fp).str.slice(0, 6).str.to_integer(base=16)
+             .to_numpy().astype(np.float64))
+        # per-source threshold via distinct-then-scatter
+        srcs = t["source"].combine_chunks()
+        uniq = pc.unique(srcs)
+        lut = np.array([thr[s] for s in uniq.to_pylist()], np.float64)
+        lim = lut[pc.index_in(srcs, value_set=uniq).to_numpy()]
+        return t.filter(pa.array(u < lim)).drop_columns(["text"])
+
+    return ds.map_batches(gate, batch_format="pyarrow")
+
+
+def epoch_key(t: pa.Table, shard_hex_digits: int) -> pa.Table:
+    """``t`` plus the seeded epoch-shuffle key ``hv`` = md5('ep1:' ||
+    doc_id) and its ``shard``, the first k hex digits (16**k shards)."""
+    ids = pc.cast(t["doc_id"], pa.string())
+    hv = md5_fingerprints(pc.binary_join_element_wise("ep1", ids, ":"))
+    return (t.append_column("hv", hv)
+            .append_column("shard", pc.utf8_slice_codeunits(
+                hv, 0, shard_hex_digits)))
 
 
 def assemble_training_set(sf_dir: str, out_dir: str, *,
@@ -57,8 +120,6 @@ def assemble_training_set(sf_dir: str, out_dir: str, *,
     fits the test corpora; 100 TB wants k≥5). Offsets, positions and
     pack bins are intra-shard, so every choice of k is deterministic
     for that k."""
-    from ..functions.textstats import md5_fingerprints, token_counts
-
     os.makedirs(out_dir, exist_ok=True)
     # resume safety: skip-if-exists is only sound against shards written
     # with the SAME parameters. A different shard width leaves stale
@@ -99,85 +160,25 @@ def assemble_training_set(sf_dir: str, out_dir: str, *,
     # tok is row-preserving, so the input count reads off the already-
     # materialized blocks — a separate ds.count() would re-run the scan
     n_in = scored.count()
-
-    # exact global quantile from the value-count histogram (token counts
-    # are small ints, so the distinct-value set is tiny at any scale);
-    # quantile_disc picks the sorted element at index floor((N-1)*q)
-    # project to the key column before the shuffle — the groupby
-    # exchanges every input column and the text must not ride it
-    hist = (scored.select_columns(["n_tokens"])
-            .groupby("n_tokens").aggregate(Count(alias_name="n"))
-            .to_pandas().sort_values("n_tokens").reset_index(drop=True))
-    total = int(hist["n"].sum())
-    idx = int(np.floor((total - 1) * quantile))
-    cum = hist["n"].cumsum().to_numpy()
-    cutoff = int(hist["n_tokens"][int(np.searchsorted(cum, idx + 1))])
+    cutoff = quantile_cutoff(scored, "n_tokens", quantile)
     gated = scored.filter(expr=f"n_tokens >= {cutoff}").materialize()
     n_gated = gated.count()
+    keyed = temperature_sample(gated).map_batches(
+        epoch_key, fn_args=(shard_hex_digits,), batch_format="pyarrow")
 
-    # per-source τ=2 temperature thresholds (tiny table, task closure)
-    counts = (gated.select_columns(["source"])
-              .groupby("source").aggregate(Count(alias_name="n_g"))
-              .to_pandas())
-    n_total = float(counts["n_g"].sum())
-    thr = {
-        s: float(np.minimum(16777216.0,
-                            np.floor(0.125 * np.sqrt(n_total)
-                                     / np.sqrt(float(n)) * 16777216.0)))
-        for s, n in zip(counts["source"], counts["n_g"])}
-
-    def temp_gate(t: pa.Table) -> pa.Table:
-        import polars as pl
-        fp = md5_fingerprints(t["text"].combine_chunks())
-        # vectorized hex prefix → uniform draw (polars Rust kernel, not
-        # a per-row int(h[:6], 16) loop)
-        u = (pl.from_arrow(fp).str.slice(0, 6).str.to_integer(base=16)
-             .to_numpy().astype(np.float64))
-        # per-source threshold via distinct-then-scatter
-        srcs = t["source"].combine_chunks()
-        uniq = pc.unique(srcs)
-        lut = np.array([thr[s] for s in uniq.to_pylist()], np.float64)
-        lim = lut[pc.index_in(srcs, value_set=uniq).to_numpy()]
-        return (t.filter(pa.array(u < lim))
-                .select(["doc_id", "source", "n_tokens"]))
-
-    kept = gated.map_batches(temp_gate, batch_format="pyarrow")
-
-    # epoch-shuffle key: md5('ep1:' || doc_id); shard = first k hex digits
-    def shuffle_key(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t["doc_id"], pa.string())
-        hv = md5_fingerprints(pc.binary_join_element_wise("ep1", ids, ":"))
-        return (t.append_column("hv", hv)
-                .append_column("shard", pc.utf8_slice_codeunits(
-                    hv, 0, shard_hex_digits)))
-
-    keyed = kept.map_batches(shuffle_key, batch_format="pyarrow")
-
-    # per-shard: shuffle order = (hv, doc_id); pack bins from the
-    # intra-shard exclusive prefix sum — shards pack independently
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["hv", "doc_id"]).reset_index(drop=True)
-        ntok = g["n_tokens"].to_numpy(dtype=np.int64)
-        off = np.concatenate([[0], np.cumsum(ntok)[:-1]]).astype(np.int64)
-        return pd.DataFrame({
-            "doc_id": g["doc_id"], "source": g["source"],
-            "n_tokens": ntok, "shard": g["shard"],
-            "pos": np.arange(1, len(g) + 1, dtype=np.int64),
-            "pack_bin": off // bin_tokens})
-
-    # each shard's map_groups task packs AND writes its own file
-    # (atomic tmp + rename, skip-if-exists) — the write scales with the
-    # shard count, and only (shard, rows, written) rows reach the driver
-    def pack_and_write(g: pd.DataFrame) -> pd.DataFrame:
-        out = pack(g)
-        shard = str(out["shard"].iloc[0])
-        wrote = _write_shard(out_dir, shard, out)
-        return pd.DataFrame({"shard": [shard],
-                             "rows": [np.int64(len(out))],
-                             "wrote": [wrote]})
+    # each shard's map_groups task packs (shuffle order (hv, doc_id),
+    # bins from the intra-shard prefix sum: shards pack independently)
+    # AND writes its own file (atomic tmp + rename, skip-if-exists) —
+    # the write scales with the shard count, and only (shard, rows,
+    # wrote) rows reach the driver
+    def pack_and_write(g: pa.Table) -> pa.Table:
+        out = packed(g, ["hv", "doc_id"], OUT, "n_tokens", bin_tokens)
+        shard = out["shard"][0].as_py()
+        return pa.table({"shard": [shard], "rows": [out.num_rows],
+                         "wrote": [_write_shard(out_dir, shard, out)]})
 
     summary = (keyed.groupby("shard")
-               .map_groups(pack_and_write, batch_format="pandas")
+               .map_groups(pack_and_write, batch_format="pyarrow")
                .to_pandas())
     rows = dict(zip(summary["shard"], summary["rows"].astype(int)))
     written = sorted(summary["shard"][summary["wrote"]])
@@ -198,7 +199,7 @@ def assemble_training_set(sf_dir: str, out_dir: str, *,
     return manifest
 
 
-def _write_shard(out_dir: str, shard: str, df: pd.DataFrame) -> bool:
+def _write_shard(out_dir: str, shard: str, t: pa.Table) -> bool:
     """Atomically write one shard's file from inside its task; returns
     False (skip) when the file already exists (resume)."""
     sdir = os.path.join(out_dir, f"shard={shard}")
@@ -207,9 +208,7 @@ def _write_shard(out_dir: str, shard: str, df: pd.DataFrame) -> bool:
         return False
     os.makedirs(sdir, exist_ok=True)
     tmp = dest + f".tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(
-        pa.Table.from_pandas(df.sort_values("pos")[OUT_COLS],
-                             preserve_index=False), tmp)
+    pq.write_table(t, tmp)
     os.replace(tmp, dest)
     return True
 

@@ -597,9 +597,9 @@ def run_crawl(portal_cfg: PortalConfig, crawl_cfg: CrawlConfig, workdir: str,
     urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity,
                              restore_from=chain)
     politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
-                                   cfg.politeness_burst,
-                                   cfg.backoff_factor,
-                                   cfg.backoff_cap_mult, headroom=headroom)
+                                   backoff_factor=cfg.backoff_factor,
+                                   backoff_cap_mult=cfg.backoff_cap_mult,
+                                   headroom=headroom)
     try:
         if resume:
             _clean_partial(workdir, gen)

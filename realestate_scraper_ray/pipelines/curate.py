@@ -16,9 +16,12 @@ input sharding produces byte-identical buckets. The manifest
 funnel (rows in → after quality gate → after exact dedup → after
 near-dup), and its presence marks the output complete.
 
-The per-stage semantics are exactly the SQL-oracled catalog queries
-(`documents_clean_corpus`, `dedup_corpus_survivors` — relational.py),
-composed; pytest asserts the funnel and the resume-skip behavior.
+Each step is one function here (``quality_gate``, ``keep_first``,
+``survivors``), and the SQL-oracled catalog queries call the same
+functions (relational.py: `documents_clean_corpus` is the gate plus
+keep-first, `dedup_corpus_survivors` is ``survivors``), so the pipeline
+is those queries composed by construction. pytest asserts the funnel
+and the resume-skip behavior.
 """
 
 from __future__ import annotations
@@ -33,7 +36,56 @@ import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data.aggregate import Min
 
+from ..functions.textstats import md5_fingerprints, quality_stats
 from ..stages.exchange import bucket_of, exchange
+from ..stages.joins import semi_join
+
+
+def quality_gate(ds: rd.Dataset) -> rd.Dataset:
+    """C4-style quality gate over ``ds``'s ``text``: keep rows with at
+    least 40 words whose punctuation is at most 20 % of their chars, and
+    append ``n_words`` and ``fp`` (md5 of the text, the exact-dup key)."""
+
+    def gate(t: pa.Table) -> pa.Table:
+        txt = t["text"].combine_chunks()
+        q = quality_stats(txt)
+        keep = pc.and_(pc.greater_equal(q["n_words"], 40),
+                       pc.less_equal(pc.cast(q["n_punct"], pa.float64()),
+                                     pc.multiply(pc.cast(q["n_chars_m"],
+                                                         pa.float64()), 0.2)))
+        return (t.append_column("n_words", q["n_words"])
+                .append_column("fp", md5_fingerprints(txt)).filter(keep))
+
+    return ds.map_batches(gate, batch_format="pyarrow")
+
+
+def keep_first(ds: rd.Dataset) -> rd.Dataset:
+    """Exact dedup keep-first: the rows of ``ds`` whose ``doc_id`` is the
+    least of their ``fp`` group. Only (fp, doc_id) pairs ride the
+    groupby exchange: shipping the text to pick a min id per hash would
+    move the whole corpus instead of 16 bytes a row."""
+    canon = (ds.select_columns(["fp", "doc_id"])
+             .groupby("fp").aggregate(Min("doc_id", alias_name="doc_id")))
+    return semi_join(ds, canon.select_columns(["doc_id"]), "doc_id", "doc_id")
+
+
+def survivors(docs: rd.Dataset, threshold: float = 0.6) -> rd.Dataset:
+    """Near-dup cluster dedup over ``docs`` (``doc_id``, ``text``): exact
+    n-gram Jaccard pairs at ``threshold`` → connected components → the
+    ``doc_id`` of each cluster's least member (singletons survive).
+    ``docs`` is read twice (pairs and nodes), so it is materialized."""
+    from ..stages.dedupe import ngram_jaccard_pairs
+    from ..stages.graph import connected_components
+    docs = docs.materialize()
+    pairs = ngram_jaccard_pairs(docs.select_columns(["doc_id", "text"]),
+                                "text", "doc_id", threshold=threshold)
+    edges = rd.from_arrow(pa.table({
+        "id_a": pa.array(pairs["id_a"].to_numpy(), pa.int64()),
+        "id_b": pa.array(pairs["id_b"].to_numpy(), pa.int64())}))
+    cc = connected_components(docs.select_columns(["doc_id"]), edges, "doc_id")
+    return cc.map_batches(
+        lambda t: t.filter(pc.equal(t["doc_id"], t["component"]))
+                   .select(["doc_id"]), batch_format="pyarrow")
 
 
 def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
@@ -43,52 +95,16 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
     Returns the manifest dict. Buckets already present on disk are
     skipped (resume); delete ``manifest.json`` + partial buckets to
     redo them."""
-    from ..functions.textstats import md5_fingerprints, quality_stats
-    from ..stages.dedupe import ngram_jaccard_pairs
-    from ..stages.graph import connected_components
-    from ..stages.joins import semi_join
-
     os.makedirs(out_dir, exist_ok=True)
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "text", "source"])
     n_in = ds.count()
-
-    def gate(t: pa.Table) -> pa.Table:
-        txt = t["text"].combine_chunks()
-        q = quality_stats(txt)
-        keep = pc.and_(pc.greater_equal(q["n_words"], 40),
-                       pc.less_equal(pc.cast(q["n_punct"], pa.float64()),
-                                     pc.multiply(pc.cast(q["n_chars_m"],
-                                                         pa.float64()), 0.2)))
-        return t.append_column("fp", md5_fingerprints(txt)).filter(keep)
-
-    gated = ds.map_batches(gate, batch_format="pyarrow").materialize()
+    gated = quality_gate(ds).materialize()
     n_gated = gated.count()
-
-    # project to (fp, doc_id) BEFORE the content-hash shuffle — the
-    # groupby exchanges every column of its input, and shipping the
-    # text corpus to pick a min-id per hash is the classic all-to-all
-    # waste (16 bytes/row moves instead of the whole document)
-    canon = (gated.select_columns(["fp", "doc_id"])
-             .groupby("fp").aggregate(Min("doc_id", alias_name="doc_id")))
-    exact = semi_join(gated, canon.select_columns(["doc_id"]),
-                      "doc_id", "doc_id").materialize()
+    exact = keep_first(gated).materialize()
     n_exact = exact.count()
-
-    pairs = ngram_jaccard_pairs(exact.select_columns(["doc_id", "text"]),
-                                "text", "doc_id",
-                                threshold=jaccard_threshold)
-    edges = rd.from_arrow(pa.table({
-        "id_a": pa.array(pairs["id_a"].to_numpy(), pa.int64()),
-        "id_b": pa.array(pairs["id_b"].to_numpy(), pa.int64())}))
-    cc = connected_components(exact.select_columns(["doc_id"]), edges,
-                              "doc_id")
-    survivors = semi_join(
-        exact,
-        cc.map_batches(
-            lambda t: t.filter(pc.equal(t["doc_id"], t["component"]))
-                       .select(["doc_id"]), batch_format="pyarrow"),
-        "doc_id", "doc_id")
+    kept = semi_join(exact, survivors(exact, jaccard_threshold),
+                     "doc_id", "doc_id")
 
     # content-keyed buckets (``exchange.bucket_of`` — version-stable,
     # so buckets written by one environment resume identically in a
@@ -111,7 +127,7 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
                          "rows": pa.array([t.num_rows], pa.int64()),
                          "wrote": pa.array([wrote])})
 
-    summary = exchange(survivors, "doc_id", write_bucket,
+    summary = exchange(kept, "doc_id", write_bucket,
                        n_buckets).to_pandas()
     counts = dict(zip(summary["bucket"].astype(int),
                       summary["rows"].astype(int)))

@@ -37,6 +37,14 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..stages.aggregate import grouped, scaled
 from ..stages.exchange import exchange
+from ..stages.packing import bucket_offsets, pack
+from .assemble import (
+    assemble_training_set, epoch_key, quantile_cutoff, read_assembled,
+    temperature_sample,
+)
+from .curate import (
+    curate_corpus, keep_first, quality_gate, read_curated, survivors,
+)
 
 QUERIES: dict[str, Callable[[str], Any]] = {}
 ORACLE: dict[str, str] = {}
@@ -1232,30 +1240,13 @@ def documents_clean_corpus(sf_dir: str) -> rd.Dataset:
     quality stats → quality gate (≥40 words, punct ≤ 20 % of chars) →
     exact dedup keep-first (md5 hash-partition + per-group min id).
     Streams: per-batch stats+filter+hash, one groupby on the content
-    hash, broadcast-free."""
-    from ..functions.textstats import md5_fingerprints, quality_stats
+    hash, broadcast-free. Both steps are ``pipelines/curate.py``'s."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-
-    def gate(t: pa.Table) -> pa.Table:
-        txt = t["text"].combine_chunks()
-        q = quality_stats(txt)
-        keep = pc.and_(pc.greater_equal(q["n_words"], 40),
-                       pc.less_equal(pc.cast(q["n_punct"], pa.float64()),
-                                     pc.multiply(pc.cast(q["n_chars_m"], pa.float64()),
-                                                 0.2)))
-        t = (t.append_column("n_words", q["n_words"])
-              .append_column("fp", md5_fingerprints(txt)))
-        return t.filter(keep).select(["doc_id", "source", "n_words", "fp"])
-
-    from ..stages.joins import semi_join
-    gated = ds.map_batches(gate, batch_format="pyarrow")
-    canon = (gated.select_columns(["fp", "doc_id"])
-             .groupby("fp").aggregate(Min("doc_id", alias_name="doc_id")))
-    kept = semi_join(gated, canon.select_columns(["doc_id"]), "doc_id", "doc_id")
+    gated = quality_gate(ds).select_columns(["doc_id", "source", "n_words", "fp"])
     # corpus-scale result: hand the Dataset back as Arrow blocks (the
     # harness materializes it on the columnar fast path) instead of
     # funneling every kept row through the driver here
-    return _as_arrow(kept.select_columns(["doc_id", "source", "n_words"]))
+    return _as_arrow(keep_first(gated).select_columns(["doc_id", "source", "n_words"]))
 
 
 @query("dedup_exact_text",
@@ -1740,20 +1731,8 @@ def dedup_corpus_survivors(sf_dir: str) -> pd.DataFrame:
     (θ=0.6, same semantics as `dedup_ngram_jaccard`) → connected
     components → keep the min doc_id per duplicate cluster. This is
     the full C4/RefinedWeb-style dedup *result* (the surviving
-    corpus), not just the pair list."""
-    from ..stages.dedupe import ngram_jaccard_pairs
-    from ..stages.graph import connected_components
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    pairs = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.6)
-    edges = rd.from_arrow(pa.table({
-        "id_a": pa.array(pairs["id_a"].to_numpy(), pa.int64()),
-        "id_b": pa.array(pairs["id_b"].to_numpy(), pa.int64())}))
-    nodes = _pq(sf_dir, "documents", ["doc_id"])
-    cc = connected_components(nodes, edges, "doc_id")
-    out = cc.map_batches(
-        lambda t: t.filter(pc.equal(t["doc_id"], t["component"]))
-                   .select(["doc_id"]),
-        batch_format="pyarrow").to_pandas()
+    corpus), not just the pair list: ``pipelines/curate.survivors``."""
+    out = survivors(_pq(sf_dir, "documents", ["doc_id", "text"])).to_pandas()
     return (out.astype({"doc_id": "int64"})
             .sort_values("doc_id").reset_index(drop=True))
 
@@ -1995,15 +1974,14 @@ def pii_scrub(sf_dir: str) -> pd.DataFrame:
 
 # ---------------------------------------------------------------------------
 # training-set assembly: epoch shuffle, quantile gating, temperature
-# sampling, sequence packing
+# sampling, sequence packing. Each step is pipelines/assemble.py's (the
+# packer is stages/packing.py's), so the assembly pipeline is these
+# queries composed.
 # ---------------------------------------------------------------------------
 
-# Deterministic sharded epoch shuffle: every doc gets a content-free
-# pseudo-random key md5("ep1:"||doc_id); the first hex nibble is the
-# shard, rank-within-shard by (key, doc_id) is the read order. At scale
-# the shard count is raised so one shard ~= one block and the
-# per-shard sort happens inside map_groups — no global sort, only a
-# 1/16-fanout groupby shuffle of (doc_id, key) pairs, never the text.
+# Deterministic sharded epoch shuffle: the first hex nibble of
+# md5("ep1:"||doc_id) is the shard, rank-within-shard by (key, doc_id)
+# the read order — only (doc_id, key) pairs shuffle, never the text.
 _EPOCH_SQL = """
 WITH h AS (
   SELECT doc_id, md5('ep1:' || CAST(doc_id AS VARCHAR)) AS hv FROM documents)
@@ -2014,28 +1992,18 @@ FROM h
 """
 
 
+_EPOCH_OUT = pa.schema([("doc_id", pa.int64()), ("shard", pa.string()),
+                        ("pos", pa.int64())])
+
+
 def epoch_shuffle_ds(ds: rd.Dataset, shard_hex_digits: int = 1) -> rd.Dataset:
-    """Seeded epoch shuffle engine: hash-keyed shard (first k hex digits
-    of md5 → 16**k shards) + intra-shard rank, stable under any input
-    partitioning. Size k so one shard ~= one comfortable block — the
-    per-shard sort runs inside map_groups, so a fixed k would put
-    16**-k of the corpus in ONE pandas task at any scale."""
-    from ..functions.textstats import md5_fingerprints
-
-    def keyed(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t["doc_id"], pa.string())
-        hv = md5_fingerprints(pc.binary_join_element_wise("ep1", ids, ":"))
-        return pa.table({"doc_id": t["doc_id"], "hv": hv,
-                         "shard": pc.utf8_slice_codeunits(
-                             hv, 0, shard_hex_digits)})
-
-    def rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["hv", "doc_id"]).reset_index(drop=True)
-        return pd.DataFrame({"doc_id": g["doc_id"], "shard": g["shard"],
-                             "pos": np.arange(1, len(g) + 1, dtype=np.int64)})
-
-    return _as_arrow(ds.map_batches(keyed, batch_format="pyarrow")
-                     .groupby("shard").map_groups(rank, batch_format="pandas"))
+    """Seeded epoch shuffle engine: ``epoch_key`` shards (16**k) +
+    intra-shard rank, stable under any input partitioning. Size k so one
+    shard ~= one comfortable block: the per-shard sort runs in one
+    map_groups task."""
+    keyed = ds.select_columns(["doc_id"]).map_batches(
+        epoch_key, fn_args=(shard_hex_digits,), batch_format="pyarrow")
+    return pack(keyed, "shard", ["hv", "doc_id"], _EPOCH_OUT)
 
 
 @query("epoch_shuffle", _EPOCH_SQL)
@@ -2048,12 +2016,9 @@ def epoch_shuffle(sf_dir: str) -> rd.Dataset:
 
 
 # Global-quantile quality gate: keep docs at/above the 75th-percentile
-# word count. The exact quantile over 100 TB comes from a value-count
-# histogram (token counts are small ints — the distinct-value set is
-# tiny), not a global sort: one combine-style groupby of (n_words,
-# count), cutoff picked on the driver from the histogram, then a
-# stateless broadcast filter. For continuous scores the same slot takes
-# a t-digest sketch instead.
+# word count, the cutoff read off a value-count histogram
+# (``quantile_cutoff``), then a stateless filter. For continuous scores
+# the same slot takes a t-digest sketch instead.
 _QUANTILE_SQL = """
 WITH s AS (
   SELECT doc_id,
@@ -2075,24 +2040,13 @@ def quality_quantile_filter(sf_dir: str) -> rd.Dataset:
                          "n_words": pc.cast(tc["n_tokens_ws"], pa.int64())})
 
     scores = ds.map_batches(tok, batch_format="pyarrow").materialize()
-    hist = (grouped(scores, ["n_words"], {"n": (None, "count")})
-            .sort_values("n_words").reset_index(drop=True))
-    # quantile_disc picks the sorted element at index floor((N-1)*q).
-    total = int(hist["n"].sum())
-    idx = int(np.floor((total - 1) * 0.75))
-    cum = hist["n"].cumsum().to_numpy()
-    cutoff = int(hist["n_words"][int(np.searchsorted(cum, idx + 1))])
+    cutoff = quantile_cutoff(scores, "n_words", 0.75)
     return scores.filter(expr=f"n_words >= {cutoff}")
 
 
-# Temperature sampling across sources (tau=2 flattening): keep
-# probability proportional to n_source^-0.5, capped at 1, so rare
-# sources are up-weighted. Membership is decided by a content hash
-# against a per-source integer threshold — deterministic, join-free on
-# the big side (the per-source count table is tiny and broadcast).
-# Double arithmetic is written with the same association on both sides
-# (and the 0.25 / 2^24 factors are exact powers of two), so the Ray
-# and DuckDB thresholds agree bit-for-bit.
+# Temperature sampling across sources (tau=2 flattening,
+# ``temperature_sample``): a content hash against a per-source integer
+# threshold — deterministic, join-free on the big side.
 _TEMPERATURE_SQL = """
 WITH g AS (SELECT source, CAST(COUNT(*) AS BIGINT) AS n_g
            FROM documents GROUP BY source),
@@ -2108,39 +2062,14 @@ WHERE CAST('0x' || substr(md5(d.text), 1, 6) AS BIGINT) < t.thr
 
 @query("source_temperature_sample", _TEMPERATURE_SQL)
 def source_temperature_sample(sf_dir: str) -> rd.Dataset:
-    from ..functions.textstats import md5_fingerprints
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    # count per source WITHOUT shipping the text through the shuffle
-    counts = grouped(ds.select_columns(["source"]), ["source"],
-                     {"n_g": (None, "count")})
-    n_total = float(counts["n_g"].sum())
-    thr = {
-        s: float(np.minimum(16777216.0,
-                            np.floor(0.125 * np.sqrt(n_total) / np.sqrt(float(n))
-                                     * 16777216.0)))
-        for s, n in zip(counts["source"], counts["n_g"])}
-    # The per-source threshold table is O(#sources) — a few KB even at
-    # corpus scale — so it rides into each task's closure (a stateless
-    # map, no actor pool: state setup is nil and an actor pool would
-    # pin CPUs the upstream read needs on small clusters).
-
-    def gate(t: pa.Table) -> pa.Table:
-        fp = md5_fingerprints(t["text"].combine_chunks())
-        u = np.array([int(h[:6], 16) for h in fp.to_pylist()],
-                     dtype=np.float64)
-        lim = np.array([thr[s] for s in t["source"].to_pylist()])
-        return t.filter(pa.array(u < lim)).select(["doc_id", "source"])
-
-    return ds.map_batches(gate, batch_format="pyarrow")
+    return temperature_sample(_pq(sf_dir, "documents",
+                                  ["doc_id", "text", "source"]))
 
 
 # GPT-style sequence packing: concatenate the token stream in doc_id
 # order and cut fixed 2048-token context windows; each doc reports its
-# global token offset and the window it starts in. The global prefix
-# sum is hierarchical — per-bucket subtotal groupby (tiny), exclusive
-# bucket offsets on the driver, then intra-bucket cumsum in map_groups
-# — so nothing sorts or scans globally; only (doc_id, n_tokens) pairs
-# move, never text.
+# global token offset and the window it starts in (``stages/packing``:
+# a hierarchical prefix sum over doc-id buckets, never the text).
 _PACK_BIN = 2048
 _PACK_SQL = f"""
 WITH s AS (
@@ -2158,12 +2087,8 @@ FROM o
 """
 
 
-def _bucket_offsets(ds: rd.Dataset, col: str):
-    """Broadcast ``{bucket: exclusive prefix sum of col}`` — the driver
-    step of hierarchical packing (per-bucket totals are tiny)."""
-    tot = grouped(ds, ["bucket"], {"tot": (col, "sum")}).sort_values("bucket")
-    starts = tot["tot"].cumsum() - tot["tot"]
-    return ray.put(dict(zip(tot["bucket"].astype(int), starts.astype(int))))
+_PACK_OUT = pa.schema([(c, pa.int64()) for c in
+                       ("doc_id", "n_tokens", "tok_offset", "pack_bin")])
 
 
 @query("sequence_packing", _PACK_SQL)
@@ -2179,18 +2104,8 @@ def sequence_packing(sf_dir: str) -> rd.Dataset:
         return pa.table({"doc_id": t["doc_id"], "n_tokens": n, "bucket": b})
 
     toks = ds.map_batches(tok, batch_format="pyarrow").materialize()
-    offsets = _bucket_offsets(toks, "n_tokens")
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id").reset_index(drop=True)
-        base = ray.get(offsets)[int(g["bucket"][0])]
-        n = g["n_tokens"].to_numpy()
-        off = base + np.concatenate(([0], np.cumsum(n)[:-1]))
-        return pd.DataFrame({"doc_id": g["doc_id"], "n_tokens": g["n_tokens"],
-                             "tok_offset": off.astype(np.int64),
-                             "pack_bin": (off // _PACK_BIN).astype(np.int64)})
-
-    return _as_arrow(toks.groupby("bucket").map_groups(pack, batch_format="pandas"))
+    return pack(toks, "bucket", ["doc_id"], _PACK_OUT, "n_tokens", _PACK_BIN,
+                bucket_offsets(toks, "bucket", "n_tokens"))
 
 
 # ---------------------------------------------------------------------------
@@ -3539,15 +3454,19 @@ FROM events WHERE event_type = 'purchase'
 """
 
 
+_RANK_OUT = pa.schema([("event_id", pa.int64()), ("value", pa.float64()),
+                       ("pos", pa.int64())])
+
+
 def _ranked_by_value(ds: rd.Dataset) -> pd.DataFrame:
     """Global ROW_NUMBER over (value, event_id) without a global sort
     operator and without materializing anything row-scale on the driver:
     histogram-sketch boundaries cut the value domain into ~32 equal-depth
     buckets (equal values always share a bucket, so ordering never
-    straddles one), a tiny groupby counts each bucket, the driver turns
-    ≤32 counts into exclusive offsets, and each bucket ranks internally
-    in map_groups — hierarchical prefix sum, one value-range shuffle
-    total. Correctness needs only monotone bucketing; the sketch quality
+    straddles one), the merged histogram gives each bucket's size, the
+    driver turns ≤32 sizes into exclusive offsets, and each bucket ranks
+    internally (``stages/packing.pack``) — hierarchical prefix sum, one
+    value-range shuffle total. Correctness needs only monotone bucketing; the sketch quality
     only balances bucket sizes."""
     from ray.data.aggregate import Max
 
@@ -3587,17 +3506,9 @@ def _ranked_by_value(ds: rd.Dataset) -> pd.DataFrame:
         return t.append_column("bucket", pa.array(bk.astype(np.int64)))
 
     bucketed = ds.map_batches(assign, batch_format="pyarrow")
-
-    def rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["value", "event_id"]).reset_index(drop=True)
-        base = int(offsets[int(g["bucket"].iloc[0])])
-        g["rnk"] = base + np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["event_id", "value", "rnk"]]
-
-    out = (bucketed.groupby("bucket")
-           .map_groups(rank, batch_format="pandas").to_pandas())
-    return (out.astype({"event_id": "int64", "rnk": "int64"})
-            .sort_values("rnk").reset_index(drop=True))
+    out = pack(bucketed, "bucket", ["value", "event_id"], _RANK_OUT,
+               offsets=offsets).to_pandas().rename(columns={"pos": "rnk"})
+    return out.sort_values("rnk").reset_index(drop=True)
 
 
 @query("events_global_rank", _GLOBAL_RANK_SQL)
@@ -3797,15 +3708,13 @@ def assembled_training_set(sf_dir: str) -> pd.DataFrame:
     seeded epoch shuffle → per-shard sequence packing — with its
     RESUMABLE sharded parquet output, verified against one composed SQL
     oracle of all four stages."""
-    import shutil
     import tempfile
 
-    from .assemble import assemble_training_set, read_assembled
-    out = os.path.join(tempfile.gettempdir(),
-                       f"rsr_assembled_{abs(hash(sf_dir)) % 10**8}")
-    shutil.rmtree(out, ignore_errors=True)  # fresh run (resume in pytest)
-    assemble_training_set(sf_dir, out)
-    df = read_assembled(out).to_pandas()
+    # a fresh run into a directory removed after the read (resume is
+    # tested in pytest)
+    with tempfile.TemporaryDirectory(prefix="rsr_assembled_") as out:
+        assemble_training_set(sf_dir, out)
+        df = read_assembled(out).to_pandas()
     return (df.astype({"doc_id": "int64", "n_tokens": "int64",
                        "pos": "int64", "pack_bin": "int64"})
             .sort_values(["shard", "pos"]).reset_index(drop=True))
@@ -3817,15 +3726,11 @@ def curated_corpus_docs(sf_dir: str) -> pd.DataFrame:
     end — quality gate → exact keep-first → near-dup cluster survivors —
     with its RESUMABLE hash-partitioned parquet output, verified
     against one composed SQL oracle of all three stages."""
-    import shutil
     import tempfile
 
-    from .curate import curate_corpus, read_curated
-    out = os.path.join(tempfile.gettempdir(),
-                       f"rsr_curated_{abs(hash(sf_dir)) % 10**8}")
-    shutil.rmtree(out, ignore_errors=True)  # fresh run (resume is tested in pytest)
-    curate_corpus(sf_dir, out, n_buckets=16)
-    df = read_curated(out).select_columns(["doc_id"]).to_pandas()
+    with tempfile.TemporaryDirectory(prefix="rsr_curated_") as out:
+        curate_corpus(sf_dir, out, n_buckets=16)
+        df = read_curated(out).select_columns(["doc_id"]).to_pandas()
     return (df.astype({"doc_id": "int64"})
             .sort_values("doc_id").reset_index(drop=True))
 
@@ -4185,6 +4090,8 @@ def dsir_topk_sample(sf_dir: str) -> pd.DataFrame:
 # corpus. Non-SQL (crawl-derived); a brute-force pandas twin over the
 # same crawl's offers table is pytest-gated.
 _CTC_BIN = 512
+_CTC_OUT = pa.schema([(c, pa.int64()) for c in
+                      ("oid", "n_tokens", "dupes", "tok_offset", "pack_bin")])
 
 
 @query("crawl_training_corpus")
@@ -4220,25 +4127,16 @@ def crawl_training_corpus(sf_dir: str) -> pd.DataFrame:
                  "bucket", pc.divide(t["oid"], 1 << 14)),
                  batch_format="pyarrow")
              .materialize())
-    offsets = _bucket_offsets(canon, "n_tokens")
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("oid").reset_index(drop=True)
-        base = ray.get(offsets)[int(g["bucket"][0])]
-        n = g["n_tokens"].to_numpy()
-        off = base + np.concatenate(([0], np.cumsum(n)[:-1]))
-        return pd.DataFrame({
-            "offer_id": g["oid"], "n_tokens": g["n_tokens"],
-            "dupes": g["dupes"], "tok_offset": off.astype(np.int64),
-            "pack_bin": (off // _CTC_BIN).astype(np.int64)})
-
-    out = (canon.groupby("bucket").map_groups(pack, batch_format="pandas")
-           .to_pandas())
-    return out.sort_values("offer_id").reset_index(drop=True)
+    out = pack(canon, "bucket", ["oid"], _CTC_OUT, "n_tokens", _CTC_BIN,
+               bucket_offsets(canon, "bucket", "n_tokens")).to_pandas()
+    return (out.rename(columns={"oid": "offer_id"})
+            .sort_values("offer_id").reset_index(drop=True))
 
 
 _VLM_IMG_TOKENS = 576  # ViT-L/14 @ 336px patch count — the usual VLM cost
 _VLM_BIN = 4096
+_VLM_OUT = pa.schema([(c, pa.int64()) for c in
+                      ("oid", "n_txt", "n_img", "cost", "tok_offset", "pack_bin")])
 
 
 @query("crawl_vlm_packing")
@@ -4285,22 +4183,11 @@ def crawl_vlm_packing(sf_dir: str) -> pd.DataFrame:
                 .append_column("bucket", pc.divide(t["oid"], 1 << 14)),
                 batch_format="pyarrow")
             .materialize())
-    offsets = _bucket_offsets(docs, "cost")
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("oid").reset_index(drop=True)
-        base = ray.get(offsets)[int(g["bucket"][0])]
-        n = g["cost"].to_numpy()
-        off = base + np.concatenate(([0], np.cumsum(n)[:-1]))
-        return pd.DataFrame({
-            "offer_id": g["oid"], "n_text_tokens": g["n_txt"],
-            "n_images": g["n_img"], "seq_cost": g["cost"],
-            "tok_offset": off.astype(np.int64),
-            "pack_bin": (off // _VLM_BIN).astype(np.int64)})
-
-    out = (docs.groupby("bucket").map_groups(pack, batch_format="pandas")
-           .to_pandas())
-    return out.sort_values("offer_id").reset_index(drop=True)
+    out = pack(docs, "bucket", ["oid"], _VLM_OUT, "cost", _VLM_BIN,
+               bucket_offsets(docs, "bucket", "cost")).to_pandas()
+    return (out.rename(columns={"oid": "offer_id", "n_txt": "n_text_tokens",
+                                "n_img": "n_images", "cost": "seq_cost"})
+            .sort_values("offer_id").reset_index(drop=True))
 
 
 # ---------------------------------------------------------------------------

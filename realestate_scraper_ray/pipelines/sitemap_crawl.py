@@ -82,9 +82,8 @@ def sitemap_crawl(portal_cfg: PortalConfig,
     portal = Portal(portal_cfg)
     urlseen = UrlSeenService(cfg.urlseen_shards, cfg.urlseen_capacity)
     politeness = PolitenessService(cfg.politeness_shards, cfg.rps_per_host,
-                                   cfg.politeness_burst,
-                                   cfg.backoff_factor,
-                                   cfg.backoff_cap_mult)
+                                   backoff_factor=cfg.backoff_factor,
+                                   backoff_cap_mult=cfg.backoff_cap_mult)
     try:
         entries = sitemap_entries(
             lambda: Portal(portal_cfg).render_sitemap,

@@ -63,9 +63,11 @@ def grouped(ds, keys, aggs) -> pd.DataFrame:
                         for out, (_, op, *_s) in aggs.items()])
            .to_pandas())
     if len(res) == 0:  # Ray drops the schema: run the partial on nothing
-        res = (partial(ds.schema().base_schema.empty_table()).to_pandas()
+        schema = ds.schema()  # None too after a map over zero rows
+        res = (partial(schema.base_schema.empty_table()).to_pandas()
                .rename(columns={f"{out}_{op}": out
-                                for out, (_, op, *_s) in aggs.items()}))
+                                for out, (_, op, *_s) in aggs.items()})
+               if schema is not None else pd.DataFrame(columns=[*keys, *aggs]))
     for out, (_, op, *scale) in aggs.items():
         if op == "count":
             res[out] = res[out].astype("int64")

@@ -52,11 +52,11 @@ class StaleLeaseError(RuntimeError):
 
 
 def check_epoch(held: int | None, epoch: int | None) -> None:
-    """Raise unless ``epoch`` is the shard's current lease. A call that
-    names no lease (``None``: a direct call on a shard handle, as tests
-    make to probe one shard) is not checked; the services always pass
-    their lease's epoch."""
-    if epoch is not None and epoch != held:
+    """Raise unless ``epoch`` is the shard's current lease. A shard no
+    lease holds (a standalone actor, or an idle pooled one) holds
+    ``None`` and answers calls that name no lease; a leased shard
+    answers only its lease's epoch."""
+    if epoch != held:
         raise StaleLeaseError(f"shard call from lease {epoch}, but the shard "
                               f"is on lease {held}")
 

@@ -65,7 +65,7 @@ def test_budget_headroom_checkpoint_roundtrip(ray_session):
     # 60 booked slots: magnitude semantics still checked (headroom ≈
     # bookings minus elapsed) with enough margin that a loaded-suite
     # scheduler stall between RPCs cannot erode it below the band
-    ray.get(busy_shard.acquire.remote("busy.pl", 59))
+    ray.get(busy_shard.acquire.remote("busy.pl", 59, epoch=svc.epoch))
     headroom = svc.dump_headroom()
     assert "busy.pl" in headroom
     assert 30.0 < headroom["busy.pl"] <= 60.0
@@ -73,10 +73,11 @@ def test_budget_headroom_checkpoint_roundtrip(ray_session):
     fresh = PolitenessService(2, rps_per_host=1.0, headroom=headroom)
     # next acquire on the restored service must wait out the headroom
     shard = fresh.shards[zlib.crc32(b"busy.pl") % 2]
-    delay = ray.get(shard.acquire.remote("busy.pl", 1))
+    delay = ray.get(shard.acquire.remote("busy.pl", 1, epoch=fresh.epoch))
     assert delay > 10.0            # restored budget enforced
     # unknown hosts are unaffected
-    assert ray.get(shard.acquire.remote("fresh.pl", 1)) == 0.0
+    assert ray.get(shard.acquire.remote("fresh.pl", 1,
+                                      epoch=fresh.epoch)) == 0.0
 
     # disabled politeness: dump is empty, restore is a no-op
     off = PolitenessService(2, rps_per_host=1e9)
@@ -102,7 +103,7 @@ def test_headroom_restores_across_different_shard_count(ray_session):
         # timing — under a fully loaded suite, actor spin-up between
         # booking and the final assert has been observed to exceed 12 s,
         # so the margin must dwarf any plausible scheduler stall.
-        ray.get(shard.acquire.remote(h, 900))
+        ray.get(shard.acquire.remote(h, 900, epoch=svc.epoch))
     headroom = svc.dump_headroom()
     assert set(headroom) == set(hosts)
 
@@ -110,18 +111,18 @@ def test_headroom_restores_across_different_shard_count(ray_session):
                                 headroom=headroom)
     for h in hosts:
         shard = resumed.shards[zlib.crc32(h.encode()) % 5]
-        assert ray.get(shard.acquire.remote(h, 1)) > 1.0
+        assert ray.get(shard.acquire.remote(h, 1, epoch=resumed.epoch)) > 1.0
 
     # legacy list-of-per-shard-blobs checkpoints still restore
     legacy = PolitenessService(3, rps_per_host=1.0,
                                headroom=[{h: 120.0} for h in hosts])
     for h in hosts:
         shard = legacy.shards[zlib.crc32(h.encode()) % 3]
-        assert ray.get(shard.acquire.remote(h, 1)) > 1.0
+        assert ray.get(shard.acquire.remote(h, 1, epoch=legacy.epoch)) > 1.0
 
 
 def test_politeness_burst_carries_bounded_credit(ray_session):
-    """politeness_burst: a host idle across a wave barrier accrues at
+    """A shard's ``burst``: a host idle across a wave barrier accrues at
     most `burst` slots of credit — an 8-slot booking after a long idle
     starts 8-burst intervals of headroom deep, never less (long-run
     rate stays <= rps)."""

@@ -152,10 +152,12 @@ def test_fetch_applies_rep_policy_and_crawl_delay(ray_session):
     assert not fp._disallowed("https://pomorskie.otodom.pl/pl/oferta/a-1")
     # the shard's spacing for this host is now the server's ask
     _, spacing = ray.get(
-        svc.shards[0].book.remote("pomorskie.otodom.pl", 1))
+        svc.shards[0].book.remote("pomorskie.otodom.pl", 1,
+                                  epoch=svc.epoch))
     assert spacing == 1.5
     # an unrelated host still books at the configured budget
-    _, other = ray.get(svc.shards[0].book.remote("x.gratka.pl", 1))
+    _, other = ray.get(svc.shards[0].book.remote("x.gratka.pl", 1,
+                                                 epoch=svc.epoch))
     assert abs(other - 0.2) < 1e-9
     for s in svc.shards:
         ray.kill(s)
@@ -193,7 +195,8 @@ def test_crawl_delay_honored_with_cap(ray_session):
         "User-agent: *\nCrawl-delay: 86400\n")
     assert not fp._disallowed("https://pomorskie.otodom.pl/pl/oferta/a-1")
     _, spacing = ray.get(
-        svc.shards[0].book.remote("pomorskie.otodom.pl", 1))
+        svc.shards[0].book.remote("pomorskie.otodom.pl", 1,
+                                  epoch=svc.epoch))
     assert spacing == 60.0  # capped, not the server's day-long ask
     for s in svc.shards:
         ray.kill(s)

@@ -32,7 +32,9 @@ from realestate_scraper_ray.pipelines.sitemap_crawl import sitemap_crawl
 from realestate_scraper_ray.sources.synth_portal import Portal
 from realestate_scraper_ray.state import lease
 from realestate_scraper_ray.state.lease import Lease, StaleLeaseError
-from realestate_scraper_ray.state.politeness import PolitenessService
+from realestate_scraper_ray.state.politeness import (
+    PolitenessService, PolitenessShard,
+)
 from realestate_scraper_ray.state.urlseen import UrlSeenService, UrlSeenShard
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,6 +173,24 @@ def test_stale_lease_call_refused(ray_session, fresh_pool):
     assert new_p.book({"x.pl": 1})["x.pl"] == (0.0, pytest.approx(0.1))
     new_u.close()
     new_p.close()
+
+
+def test_leased_shard_refuses_a_call_naming_no_lease(ray_session,
+                                                     fresh_pool):
+    """A direct call on a leased shard must name the lease's epoch;
+    a standalone shard (held epoch None) still answers without one."""
+    u = UrlSeenService(1, 1 << 10)
+    p = PolitenessService(1, rps_per_host=10.0)
+    with pytest.raises(StaleLeaseError):
+        ray.get(u.shards[0].count.remote())
+    with pytest.raises(StaleLeaseError):
+        ray.get(p.shards[0].book.remote("x.pl", 1))
+    assert ray.get(u.shards[0].count.remote(epoch=u.epoch)) == 0
+    u.close()
+    p.close()
+    alone = PolitenessShard.remote(rps_per_host=10.0)
+    assert ray.get(alone.book.remote("x.pl", 1))[0] == 0.0
+    ray.kill(alone)
 
 
 def test_re_leased_urlseen_shard_is_empty_or_restored(ray_session, tmp_path,

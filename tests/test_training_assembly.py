@@ -122,3 +122,37 @@ def test_crawl_vlm_packing_matches_brute_force(ray_session):
     assert got["tok_offset"].tolist() == off.tolist()
     assert got["pack_bin"].tolist() == (off // 4096).tolist()
     assert (got["n_images"] == 0).any()  # left semantics exercised
+
+
+def test_packing_queries_on_zero_rows_are_typed(tmp_path):
+    """A zero-row documents table gives a zero-row result that still has
+    every output column, with its type (Ray Data drops the schema of a
+    map over nothing; the shared packer puts it back)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from realestate_scraper_ray.pipelines.relational import QUERIES
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    pq.write_table(docs.slice(0, 0), str(tmp_path / "documents.parquet"))
+    i64, s = pa.int64(), pa.string()
+    for name, cols in (
+            ("sequence_packing", {"doc_id": i64, "n_tokens": i64,
+                                  "tok_offset": i64, "pack_bin": i64}),
+            ("epoch_shuffle", {"doc_id": i64, "shard": s, "pos": i64})):
+        out = QUERIES[name](str(tmp_path))
+        assert out.count() == 0, name
+        schema = out.schema().base_schema
+        assert dict(zip(schema.names, schema.types)) == cols, name
+
+
+def test_pipeline_queries_leave_no_temp_dir(tmp_path, monkeypatch):
+    """The assembly and curation queries write their resumable output
+    into a temporary directory and remove it after the read."""
+    import os
+    import tempfile
+
+    from realestate_scraper_ray.pipelines.relational import QUERIES
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    for name in ("assembled_training_set", "curated_corpus_docs"):
+        assert len(QUERIES[name](SF)) > 0, name
+    assert [n for n in os.listdir(tmp_path) if n.startswith("rsr_")] == []
