@@ -29,6 +29,7 @@ root and ``state/`` do not: service actors boot without ``ray.data``.
 
 from __future__ import annotations
 
+import pyarrow as pa
 import ray.data as rd
 
 # Generous default: the largest legitimate driver result in the query
@@ -65,6 +66,11 @@ def install() -> None:
                 " results must be domain-bounded, never data-sized;"
                 " pass an explicit reviewed bound via"
                 " to_driver(ds, bound=...) if this is legitimate)")
+        base = getattr(m.schema(), "base_schema", None) if n == 0 else None
+        if isinstance(base, pa.Schema):
+            # Ray's iter_batches skips empty blocks, so its conversion
+            # drops every column of a typed zero-row Dataset
+            return base.empty_table().to_pandas()
         return orig(m, limit=None)
 
     setattr(bounded_to_pandas, _SENTINEL, True)

@@ -59,6 +59,8 @@ def quantile_cutoff(ds: rd.Dataset, col: str, q: float) -> int:
     is tiny at any scale) instead of a global sort."""
     hist = (grouped(ds, [col], {"n": (None, "count")})
             .sort_values(col).reset_index(drop=True))
+    if hist.empty:
+        return 0  # no rows: any cutoff keeps none
     idx = int(np.floor((int(hist["n"].sum()) - 1) * q))
     cum = hist["n"].cumsum().to_numpy()
     return int(hist[col][int(np.searchsorted(cum, idx + 1))])

@@ -1016,7 +1016,7 @@ def latest_checkpoint_gen(workdir: str) -> int | None:
 
 
 def _restore_checkpoint(workdir: str, state: dict
-                        ) -> tuple[int, dict | list, list[str]]:
+                        ) -> tuple[int, dict, list[str]]:
     """Read the newest checkpoint's region state into ``state``; returns
     ``(generation to resume at, politeness headroom, URL-seen chain)``.
     The chain is the newest full filter directory then the delta
@@ -1032,11 +1032,18 @@ def _restore_checkpoint(workdir: str, state: dict
     for key, st in payload["regions"].items():
         s, r = key.split("|")
         state[(s, r)] = RegionState(**st)
-    headroom: dict | list = {}
+    headroom: dict = {}
     pol_path = os.path.join(gen_dir(workdir, "checkpoint", last), "politeness.json")
     if os.path.exists(pol_path):
         with open(pol_path) as f:
             headroom = json.load(f)
+        if not isinstance(headroom, dict):
+            # the per-shard list layout: no checkpoint has written it
+            # since the host map (``dump_headroom``) replaced it
+            raise ValueError(
+                f"{pol_path} is not a host→delay map; this checkpoint "
+                "predates the current politeness layout — resume it with "
+                "the version that wrote it, or start a fresh crawl")
     # filter state: newest full dump ≤ last, then the delta chain
     gens = [(int(g), d) for g, d in _gen_dirs(root) if int(g) <= last]
     fulls = [(g, d) for g, d in gens if os.path.isdir(os.path.join(d, "filters"))]

@@ -1,34 +1,111 @@
-"""In-process oracle verification for the driver-gate crawl queries.
+"""In-process oracle verification for the registry's crawl queries.
 
-The seven ``crawl_*`` rows in the driver's correctness gate have no
-SQL-expressible oracle (no query over /root/testdata can describe a
-crawl), so the driver records them rows-only. The engine≡oracle
-equality evidence lives in pytest — invisible to the driver. This
-module closes that gap: each crawl query runs its SEQUENTIAL oracle
-twin in-process (`pipelines/oracle.py crawl_oracle`, the same
-reference-behavior walk the pytest suite compares against — reference
-scraper flow: listing walk `otodom.py:539-604`, detail parse
-`detail.py:30-92`) and RETURNS the comparison as data — one row per
-compared table: ``(table, rows_engine, rows_oracle, n_mismatch)`` —
-after raising :class:`CrawlVerificationError` on any divergence. A
-rows-only driver check therefore still fails loudly when the engine
-drifts: the query errors instead of quietly returning rows.
+A crawl has no SQL-expressible oracle (no query over the static
+testdata can describe one), so the driver records the ``crawl_*`` rows
+rows-only. This module makes those rows fail loudly anyway: each crawl
+query compares its engine tables with the SEQUENTIAL oracle twin
+(`pipelines/oracle.py crawl_oracle`, the reference-behavior walk the
+pytest suite also compares against — listing walk `otodom.py:539-604`,
+detail parse `detail.py:30-92`) and returns the comparison as data,
+one row per compared table: ``(table, rows_engine, rows_oracle,
+n_mismatch)``, after raising :class:`CrawlVerificationError` on any
+divergence.
+
+How a query gets a verified crawl:
+
+- ``crawled(pcfg, ccfg)`` runs the engine crawl of one config pair and
+  its oracle, once per process. The cache is keyed by the configs; the
+  workdirs live under one process-scoped temporary directory
+  (``$TMPDIR``-aware), removed at interpreter exit, so concurrent
+  processes never share or delete each other's crawl.
+- ``compare(res, orc, tables)`` gives one row per named table on its
+  standard key with its one column list (``COLUMNS``), plus the
+  URL-seen set row when ``"url_seen"`` is named.
 
 Negative test: tests/test_registry.py::test_crawl_verification_flips
-breaks an extractor and asserts the query raises.
+breaks the offers table and asserts the query raises.
 """
 
 from __future__ import annotations
+
+import itertools
+import os
+import tempfile
 
 import numpy as np
 import pandas as pd
 
 __all__ = [
+    "COLUMNS",
     "CrawlVerificationError",
+    "KEYS",
+    "compare",
     "comparison",
+    "crawled",
     "finish",
     "sequential_geocode_snap",
+    "set_comparison",
 ]
+
+# crawl order for urls/offers, photo order for photos/media
+_ORDER = ["source", "region", "page_idx", "pos"]
+_PHOTO = ["offer_id", "seq"]
+KEYS = {"urls": _ORDER, "offers": _ORDER, "photos": _PHOTO, "media": _PHOTO}
+# the compared columns of each table (for urls, offers and photos every
+# engine column); every query compares all of them
+COLUMNS = {
+    "urls": ["offer_url", "offer_id", "source", "region", "page_idx", "pos"],
+    "offers": ["offer_id", "source", "url", "price_amount", "price_currency",
+               "price_per_m2", "city", "lat", "lon", "area_m2", "rooms",
+               "title", "district", "street", "description", "floor",
+               "floors", "market_type", "property_type", "posted_at",
+               "updated_at", "first_seen", "last_seen", "region",
+               "page_idx", "pos"],
+    "photos": ["offer_id", "seq", "url"],
+    "media": ["offer_id", "seq", "url", "source", "mime", "ext", "n_bytes",
+              "sha256", "status", "local_path"],
+}
+
+_RUNS: dict[tuple, tuple] = {}
+_ROOT: tempfile.TemporaryDirectory | None = None
+_SEQ = itertools.count()
+
+
+def crawled(pcfg, ccfg) -> tuple:
+    """``(CrawlResult, OracleResult)`` of the engine crawl and the
+    sequential oracle under ``pcfg``/``ccfg``, each run once per process.
+    The workdir is a fresh directory under this process's temporary
+    root."""
+    global _ROOT
+    key = (pcfg, ccfg)
+    if key not in _RUNS:
+        from ..sources.synth_portal import Portal
+        from .crawl import run_crawl
+        from .oracle import crawl_oracle
+        if _ROOT is None:
+            _ROOT = tempfile.TemporaryDirectory(prefix="rsr_crawls_")
+        workdir = os.path.join(_ROOT.name, f"crawl-{next(_SEQ)}")
+        _RUNS[key] = (run_crawl(pcfg, ccfg, workdir),
+                      crawl_oracle(Portal(pcfg), ccfg))
+    return _RUNS[key]
+
+
+def compare(res, orc, *tables: str) -> list[dict]:
+    """One verification row per table in ``tables``: ``res.table(name)``
+    against the oracle's ``name`` rows on the table's ``KEYS`` over its
+    ``COLUMNS``; ``"url_seen"`` is the engine's URL set against the
+    oracle's."""
+    rows = []
+    for name in tables:
+        if name == "url_seen":
+            rows.append(set_comparison(
+                name, set(res.table("urls")["offer_url"].to_pylist()),
+                {r["offer_url"] for r in orc.urls}))
+        else:
+            rows.append(comparison(name, res.table(name).to_pandas(),
+                                   pd.DataFrame(getattr(orc, name)),
+                                   KEYS[name], COLUMNS[name]))
+    return rows
 
 
 class CrawlVerificationError(AssertionError):

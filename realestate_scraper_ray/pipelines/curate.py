@@ -39,6 +39,7 @@ from ray.data.aggregate import Min
 from ..functions.textstats import md5_fingerprints, quality_stats
 from ..stages.exchange import bucket_of, exchange
 from ..stages.joins import semi_join
+from ..stages.packing import typed
 
 
 def quality_gate(ds: rd.Dataset) -> rd.Dataset:
@@ -73,7 +74,8 @@ def survivors(docs: rd.Dataset, threshold: float = 0.6) -> rd.Dataset:
     """Near-dup cluster dedup over ``docs`` (``doc_id``, ``text``): exact
     n-gram Jaccard pairs at ``threshold`` → connected components → the
     ``doc_id`` of each cluster's least member (singletons survive).
-    ``docs`` is read twice (pairs and nodes), so it is materialized."""
+    ``docs`` is read twice (pairs and nodes), so it is materialized, and
+    so is the result."""
     from ..stages.dedupe import ngram_jaccard_pairs
     from ..stages.graph import connected_components
     docs = docs.materialize()
@@ -83,9 +85,10 @@ def survivors(docs: rd.Dataset, threshold: float = 0.6) -> rd.Dataset:
         "id_a": pa.array(pairs["id_a"].to_numpy(), pa.int64()),
         "id_b": pa.array(pairs["id_b"].to_numpy(), pa.int64())}))
     cc = connected_components(docs.select_columns(["doc_id"]), edges, "doc_id")
-    return cc.map_batches(
+    return typed(cc.map_batches(
         lambda t: t.filter(pc.equal(t["doc_id"], t["component"]))
-                   .select(["doc_id"]), batch_format="pyarrow")
+                   .select(["doc_id"]), batch_format="pyarrow"),
+        pa.schema([("doc_id", pa.int64())]))
 
 
 def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,

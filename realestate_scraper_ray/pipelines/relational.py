@@ -16,13 +16,15 @@ Ratios/averages divide exact integers.
 
 Scale notes are inline: reads prune columns, grouped aggregates
 pre-aggregate per batch before the shuffle (``stages/aggregate.grouped``),
-small join sides broadcast via ``ray.put``, large-large joins use the
-hash-partitioned ``Dataset.join``.
+small join sides broadcast via ``ray.put``, large-large semi and
+lookup joins run one two-sided key exchange (``stages/joins.py``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import tempfile
 from collections.abc import Callable
 from typing import Any
 
@@ -35,12 +37,17 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..config import CrawlConfig, PortalConfig
 from ..stages.aggregate import grouped, scaled
 from ..stages.exchange import exchange
-from ..stages.packing import bucket_offsets, pack
+from ..stages.packing import bucket_offsets, pack, typed
 from .assemble import (
     assemble_training_set, epoch_key, quantile_cutoff, read_assembled,
     temperature_sample,
+)
+from .crawlverify import (
+    KEYS, CrawlVerificationError, _mismatches, compare, comparison, crawled,
+    finish, sequential_geocode_snap, set_comparison,
 )
 from .curate import (
     curate_corpus, keep_first, quality_gate, read_curated, survivors,
@@ -163,8 +170,8 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     qualifying orders semi-filter per-order lineitem revenue (pre-
     aggregated per batch on l_orderkey before the reduce). Both joins go
     through the adaptive strategy (stages/joins.py): the build side is
-    measured and broadcast only under the 64 MiB cap, else it takes the
-    hash-partitioned ``Dataset.join`` path — no unbounded driver
+    measured and broadcast only under the 64 MiB cap, else both sides
+    share one two-sided key exchange — no unbounded driver
     materialization at any scale. Only per-block top-10 candidates reach
     the driver."""
     from ..stages.joins import semi_join
@@ -221,7 +228,7 @@ def q5_region_revenue(sf_dir: str) -> pd.DataFrame:
     via that dict per batch, then customer⋈orders and
     lineitem-revenue⋈orders go through the adaptive join
     (stages/joins.py): broadcast under the 64 MiB build-side cap, else
-    hash-partitioned ``Dataset.join`` — driver exposure is O(cap), never
+    one two-sided key exchange — driver exposure is O(cap), never
     O(fact table)."""
     region = pa.Table.from_pylist(_pq(sf_dir, "region").take_all()).to_pandas()
     nation = pa.Table.from_pylist(_pq(sf_dir, "nation").take_all()).to_pandas()
@@ -1234,6 +1241,10 @@ FROM kept WHERE doc_id = canonical
 """
 
 
+_CLEAN_OUT = pa.schema([("doc_id", pa.int64()), ("source", pa.string()),
+                        ("n_words", pa.int64())])
+
+
 @query("documents_clean_corpus", _CLEAN_SQL)
 def documents_clean_corpus(sf_dir: str) -> rd.Dataset:
     """Flagship training-data cleaning pipeline (C4-style): vectorized
@@ -1246,7 +1257,8 @@ def documents_clean_corpus(sf_dir: str) -> rd.Dataset:
     # corpus-scale result: hand the Dataset back as Arrow blocks (the
     # harness materializes it on the columnar fast path) instead of
     # funneling every kept row through the driver here
-    return _as_arrow(keep_first(gated).select_columns(["doc_id", "source", "n_words"]))
+    return typed(_as_arrow(keep_first(gated).select_columns(
+        ["doc_id", "source", "n_words"])), _CLEAN_OUT)
 
 
 @query("dedup_exact_text",
@@ -2041,7 +2053,8 @@ def quality_quantile_filter(sf_dir: str) -> rd.Dataset:
 
     scores = ds.map_batches(tok, batch_format="pyarrow").materialize()
     cutoff = quantile_cutoff(scores, "n_words", 0.75)
-    return scores.filter(expr=f"n_words >= {cutoff}")
+    return typed(scores.filter(expr=f"n_words >= {cutoff}"),
+                 pa.schema([("doc_id", pa.int64()), ("n_words", pa.int64())]))
 
 
 # Temperature sampling across sources (tau=2 flattening,
@@ -2062,8 +2075,9 @@ WHERE CAST('0x' || substr(md5(d.text), 1, 6) AS BIGINT) < t.thr
 
 @query("source_temperature_sample", _TEMPERATURE_SQL)
 def source_temperature_sample(sf_dir: str) -> rd.Dataset:
-    return temperature_sample(_pq(sf_dir, "documents",
-                                  ["doc_id", "text", "source"]))
+    return typed(temperature_sample(_pq(sf_dir, "documents",
+                                        ["doc_id", "text", "source"])),
+                 pa.schema([("doc_id", pa.int64()), ("source", pa.string())]))
 
 
 # GPT-style sequence packing: concatenate the token stream in doc_id
@@ -2109,53 +2123,16 @@ def sequence_packing(sf_dir: str) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# crawl pipelines (non-SQL: verified against the sequential oracle in
-# tests; the driver records rows-only here)
+# crawl pipelines (non-SQL: the driver records rows-only, so each query
+# verifies its crawl against the sequential oracle in-process through
+# ``crawlverify.crawled`` / ``compare`` and raises on divergence)
 # ---------------------------------------------------------------------------
 
-_CRAWL_CACHE: dict[str, Any] = {}
-
-
-def _fresh_workdir(path: str) -> str:
-    """Fixed /tmp workdirs for the driver-gate crawls: a stale directory
-    left by a previous process would make run_crawl's fresh-run
-    os.makedirs raise FileExistsError, so clear it first."""
-    import shutil
-    shutil.rmtree(path, ignore_errors=True)
-    return path
-
-
-def _entry_pcfg():
-    from ..config import PortalConfig
-    return PortalConfig(regions=("pomorskie", "mazowieckie"),
-                        base_pages=2, page_size_scale=0.12,
-                        spatial_dup_per_mille=80)
-
-
-def _entry_ccfg():
-    from ..config import CrawlConfig
-    return CrawlConfig(urlseen_shards=4, urlseen_capacity=1 << 14,
-                       fetch_batch_size=64, media_fetch=True)
-
-
-def _crawl_result():
-    from .crawl import run_crawl
-    if "res" not in _CRAWL_CACHE:
-        _CRAWL_CACHE["res"] = run_crawl(
-            _entry_pcfg(), _entry_ccfg(),
-            _fresh_workdir("/tmp/rsr_entry_crawl"))
-    return _CRAWL_CACHE["res"]
-
-
-def _crawl_oracle_cached(key: str, pcfg, ccfg):
-    """Sequential-oracle twin of a driver-gate crawl, cached per
-    process like the engine result it verifies."""
-    from ..sources.synth_portal import Portal
-    from .oracle import crawl_oracle
-    ck = "orc_" + key
-    if ck not in _CRAWL_CACHE:
-        _CRAWL_CACHE[ck] = crawl_oracle(Portal(pcfg), ccfg)
-    return _CRAWL_CACHE[ck]
+# the registry's shared crawl: most crawl queries read this one run
+_ENTRY = (PortalConfig(regions=("pomorskie", "mazowieckie"), base_pages=2,
+                        page_size_scale=0.12, spatial_dup_per_mille=80),
+          CrawlConfig(urlseen_shards=4, urlseen_capacity=1 << 14,
+                      fetch_batch_size=64, media_fetch=True))
 
 
 @query("crawl_quarantine")
@@ -2168,42 +2145,29 @@ def crawl_quarantine(sf_dir: str) -> pd.DataFrame:
     in-process; quarantined detail URLs must equal the oracle's
     predicted hard-fail set, offers and stop states must match.
     Comparison rows returned, divergence raises."""
-    from ..config import CrawlConfig, PortalConfig
-    from .crawl import run_crawl
-    from .crawlverify import comparison, finish, set_comparison
     from .oracle import _FailInjector
-    pcfg = PortalConfig(regions=("pomorskie",), base_pages=2,
-                        page_size_scale=0.1)
     ccfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 12,
                        fetch_batch_size=64, fail_per_mille=150,
                        fail_depth=9, fetch_attempts=3)
-    if "fail" not in _CRAWL_CACHE:
-        _CRAWL_CACHE["fail"] = run_crawl(
-            pcfg, ccfg, _fresh_workdir("/tmp/rsr_entry_crawl_fail"))
-    res = _CRAWL_CACHE["fail"]
-    orc = _crawl_oracle_cached("fail", pcfg, ccfg)
+    res, orc = crawled(PortalConfig(regions=("pomorskie",), base_pages=2,
+                                    page_size_scale=0.1), ccfg)
     inject = _FailInjector(ccfg)
     discovered = {r["offer_url"] for r in orc.urls}
     q = res.table("quarantine").to_pandas()
-    rows = [
+    return finish("crawl_quarantine", [
         # detail-page quarantine ≡ the oracle's predicted hard-fail set
         set_comparison(
             "quarantine_detail",
             set(q["url"]) & discovered,
             {u for u in discovered if inject.hard_fails(u)}),
-        comparison("offers", res.table("offers").to_pandas(),
-                   pd.DataFrame(orc.offers),
-                   ["source", "region", "page_idx", "pos"],
-                   ["offer_id", "source", "url", "price_amount",
-                    "city", "area_m2", "rooms"]),
+        *compare(res, orc, "offers"),
         # per-region stop state (fetch_fail propagation)
         set_comparison(
             "stop_state",
             {f"{k}:{v['stop_reason']}" for k, v in res.state.items()},
             {f"{s}|{r}:{v['stop_reason']}"
              for (s, r), v in orc.state.items()}),
-    ]
-    return finish("crawl_quarantine", rows)
+    ])
 
 
 @query("crawl_trap_guard")
@@ -2217,70 +2181,39 @@ def crawl_trap_guard(sf_dir: str) -> pd.DataFrame:
     sequential oracle's under the same trap config (raises on
     divergence); full chain semantics stay pytest-gated
     (tests/test_trap.py)."""
-    from ..config import CrawlConfig, PortalConfig
-    from .crawl import run_crawl
-    from .crawlverify import comparison, finish, set_comparison
-    pcfg = PortalConfig(regions=("pomorskie",), base_pages=2,
-                        page_size_scale=0.2, trap_per_mille=80)
-    ccfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 12,
-                       fetch_batch_size=64, max_query_params=3)
-    if "trap" not in _CRAWL_CACHE:
-        _CRAWL_CACHE["trap"] = run_crawl(
-            pcfg, ccfg, _fresh_workdir("/tmp/rsr_entry_crawl_trap"))
-    res = _CRAWL_CACHE["trap"]
-    orc = _crawl_oracle_cached("trap", pcfg, ccfg)
-    finish("crawl_trap_guard", [
-        set_comparison("url_seen",
-                       set(res.table("urls")["offer_url"].to_pylist()),
-                       {r["offer_url"] for r in orc.urls}),
-        comparison("offers", res.table("offers").to_pandas(),
-                   pd.DataFrame(orc.offers),
-                   ["source", "region", "page_idx", "pos"],
-                   ["offer_id", "source", "url", "price_amount",
-                    "city", "area_m2", "rooms"]),
-    ])
+    res, orc = crawled(
+        PortalConfig(regions=("pomorskie",), base_pages=2,
+                     page_size_scale=0.2, trap_per_mille=80),
+        CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 12,
+                    fetch_batch_size=64, max_query_params=3))
+    finish("crawl_trap_guard", compare(res, orc, "url_seen", "offers"))
     out = res.table("trapped").to_pandas()
     return (out.sort_values(["source", "region", "page_idx", "url"])
             .reset_index(drop=True))
 
 
-def _verified_engine_table(name: str, keys: list[str],
-                           cols: list[str] | None = None) -> pd.DataFrame:
-    """Engine output table, verified in-process against the sequential
-    oracle BEFORE it is returned (r5: every crawl row fails loudly on
-    divergence) — the return shape stays the raw table so downstream
-    consumers are unchanged."""
-    from .crawlverify import comparison, finish
-    res = _crawl_result()
-    orc = _crawl_oracle_cached("res", _entry_pcfg(), _entry_ccfg())
-    got = res.table(name if name != "urls" else "urls").to_pandas()
-    exp = pd.DataFrame(getattr(orc, name))
-    finish(f"crawl_{name}", [comparison(name, got, exp, keys, cols)])
-    return got
+def _verified_entry_table(name: str) -> pd.DataFrame:
+    """The entry crawl's ``name`` table in its key order, verified
+    against the sequential oracle before it is returned."""
+    res, orc = crawled(*_ENTRY)
+    finish(f"crawl_{name}", compare(res, orc, name))
+    return (res.table(name).to_pandas().sort_values(KEYS[name])
+            .reset_index(drop=True))
 
 
 @query("crawl_urls")
 def crawl_urls(sf_dir: str) -> pd.DataFrame:
-    t = _verified_engine_table(
-        "urls", ["source", "region", "page_idx", "pos"],
-        ["offer_url", "offer_id", "source", "region", "page_idx", "pos"])
-    return t.sort_values(["source", "region", "page_idx", "pos"]).reset_index(drop=True)
+    return _verified_entry_table("urls")
 
 
 @query("crawl_offers")
 def crawl_offers(sf_dir: str) -> pd.DataFrame:
-    t = _verified_engine_table(
-        "offers", ["source", "region", "page_idx", "pos"],
-        ["offer_id", "source", "url", "price_amount", "price_currency",
-         "price_per_m2", "city", "lat", "lon", "area_m2", "rooms"])
-    return t.sort_values(["source", "region", "page_idx", "pos"]).reset_index(drop=True)
+    return _verified_entry_table("offers")
 
 
 @query("crawl_photos")
 def crawl_photos(sf_dir: str) -> pd.DataFrame:
-    t = _verified_engine_table("photos", ["offer_id", "seq"],
-                               ["offer_id", "seq", "url"])
-    return t.sort_values(["offer_id", "seq"]).reset_index(drop=True)
+    return _verified_entry_table("photos")
 
 
 @query("crawl_offers_wide")  # non-SQL: self-verifying vs the in-process oracle
@@ -2292,29 +2225,9 @@ def crawl_offers_wide(sf_dir: str) -> pd.DataFrame:
     n_mismatch) comparison rows, raising on any divergence so the
     driver's rows-only check fails loudly (r4 verdict ask #3). The
     urls/offers/photos tables are each compared value-by-value on
-    their crawl-order keys."""
-    from .crawlverify import comparison, finish, set_comparison
-    res = _crawl_result()
-    orc = _crawl_oracle_cached("res", _entry_pcfg(), _entry_ccfg())
-    wide = ["offer_id", "source", "url", "title", "district", "street",
-            "description", "floor", "floors", "market_type",
-            "property_type", "posted_at", "updated_at",
-            "first_seen", "last_seen", "region", "page_idx", "pos"]
-    keys = ["source", "region", "page_idx", "pos"]
-    rows = [
-        comparison("offers_wide", res.table("offers").to_pandas(),
-                   pd.DataFrame(orc.offers), keys, wide),
-        comparison("urls", res.table("urls").to_pandas(),
-                   pd.DataFrame(orc.urls), keys,
-                   ["offer_url", "offer_id", "source", "region",
-                    "page_idx", "pos"]),
-        comparison("photos", res.table("photos").to_pandas(),
-                   pd.DataFrame(orc.photos), ["offer_id", "seq"],
-                   ["offer_id", "seq", "url"]),
-        set_comparison("url_seen",
-                       set(res.table("urls")["offer_url"].to_pylist()),
-                       {r["offer_url"] for r in orc.urls}),
-    ]
+    their crawl-order keys; the offers row keeps its gate name."""
+    rows = compare(*crawled(*_ENTRY), "offers", "urls", "photos", "url_seen")
+    rows[0]["table"] = "offers_wide"
     return finish("crawl_offers_wide", rows)
 
 
@@ -2327,44 +2240,16 @@ def crawl_html_mode(sf_dir: str) -> pd.DataFrame:
     city filter, morizon mzn hrefs + hydrated map bounds — plus
     HTML-only decoy cards) parsed back through stages/portals.py and
     html_to_spans. SELF-VERIFYING: the html-mode engine tables are
-    compared against the SPAN-walk sequential oracle (same portal
-    parameters, html_bytes off) in-process — urls/offers/photos
-    comparison rows returned, divergence raises (the strongest form of
-    the r3 pytest equality, now driver-visible)."""
-    from ..config import CrawlConfig, PortalConfig
-    from .crawl import run_crawl
-    from .crawlverify import comparison, finish
+    compared against the sequential oracle in-process (it walks the
+    span documents, which ``html_bytes`` does not change) —
+    urls/offers/photos comparison rows returned, divergence raises
+    (the strongest form of the r3 pytest equality, now
+    driver-visible)."""
+    pcfg = dataclasses.replace(_ENTRY[0], html_bytes=30000)
     ccfg = CrawlConfig(urlseen_shards=4, urlseen_capacity=1 << 14,
                        fetch_batch_size=64)
-    if "html" not in _CRAWL_CACHE:
-        pcfg = PortalConfig(regions=("pomorskie", "mazowieckie"),
-                            base_pages=2, page_size_scale=0.12,
-                            spatial_dup_per_mille=80, html_bytes=30000)
-        _CRAWL_CACHE["html"] = run_crawl(
-            pcfg, ccfg, _fresh_workdir("/tmp/rsr_entry_crawl_html"))
-    span_pcfg = PortalConfig(regions=("pomorskie", "mazowieckie"),
-                             base_pages=2, page_size_scale=0.12,
-                             spatial_dup_per_mille=80)
-    orc = _crawl_oracle_cached("html_span", span_pcfg, ccfg)
-    res = _CRAWL_CACHE["html"]
-    keys = ["source", "region", "page_idx", "pos"]
-    rows = [
-        comparison("offers", res.table("offers").to_pandas(),
-                   pd.DataFrame(orc.offers), keys,
-                   ["offer_id", "source", "url", "price_amount",
-                    "price_currency", "price_per_m2", "city", "lat",
-                    "lon", "area_m2", "rooms", "title", "district",
-                    "street", "floor", "floors", "market_type",
-                    "property_type", "posted_at", "updated_at"]),
-        comparison("urls", res.table("urls").to_pandas(),
-                   pd.DataFrame(orc.urls), keys,
-                   ["offer_url", "offer_id", "source", "region",
-                    "page_idx", "pos"]),
-        comparison("photos", res.table("photos").to_pandas(),
-                   pd.DataFrame(orc.photos), ["offer_id", "seq"],
-                   ["offer_id", "seq", "url"]),
-    ]
-    return finish("crawl_html_mode", rows)
+    return finish("crawl_html_mode",
+                  compare(*crawled(pcfg, ccfg), "offers", "urls", "photos"))
 
 
 @query("crawl_last_days")  # non-SQL: self-verifying vs the in-process oracle
@@ -2374,30 +2259,10 @@ def crawl_last_days(sf_dir: str) -> pd.DataFrame:
     morizon.py:652-659). SELF-VERIFYING: compared in-process against
     the sequential oracle under the same pushdown config; comparison
     rows returned, divergence raises."""
-    from ..config import CrawlConfig, PortalConfig
-    from .crawl import run_crawl
-    from .crawlverify import comparison, finish, set_comparison
-    pcfg = PortalConfig(regions=("pomorskie", "mazowieckie"),
-                        base_pages=2, page_size_scale=0.12,
-                        spatial_dup_per_mille=80)
     ccfg = CrawlConfig(urlseen_shards=4, urlseen_capacity=1 << 14,
                        fetch_batch_size=64, last_days=15)
-    if "last_days" not in _CRAWL_CACHE:
-        _CRAWL_CACHE["last_days"] = run_crawl(
-            pcfg, ccfg, _fresh_workdir("/tmp/rsr_entry_crawl_lastdays"))
-    orc = _crawl_oracle_cached("last_days", pcfg, ccfg)
-    res = _CRAWL_CACHE["last_days"]
-    keys = ["source", "region", "page_idx", "pos"]
-    rows = [
-        comparison("offers", res.table("offers").to_pandas(),
-                   pd.DataFrame(orc.offers), keys,
-                   ["offer_id", "source", "url", "posted_at",
-                    "region", "page_idx", "pos"]),
-        set_comparison("url_seen",
-                       set(res.table("urls")["offer_url"].to_pylist()),
-                       {r["offer_url"] for r in orc.urls}),
-    ]
-    return finish("crawl_last_days", rows)
+    return finish("crawl_last_days",
+                  compare(*crawled(_ENTRY[0], ccfg), "offers", "url_seen"))
 
 
 @query("crawl_media")  # non-SQL: self-verifying vs the in-process oracle
@@ -2408,15 +2273,7 @@ def crawl_media(sf_dir: str) -> pd.DataFrame:
     SELF-VERIFYING: the media table (status, mime, ext, bytes, sha256,
     local_path) is compared against the sequential oracle's download
     walk in-process; comparison rows returned, divergence raises."""
-    from .crawlverify import comparison, finish
-    res = _crawl_result()
-    orc = _crawl_oracle_cached("res", _entry_pcfg(), _entry_ccfg())
-    rows = [comparison(
-        "media", res.table("media").to_pandas(),
-        pd.DataFrame(orc.media), ["offer_id", "seq"],
-        ["offer_id", "seq", "url", "source", "mime", "ext", "n_bytes",
-         "sha256", "status", "local_path"])]
-    return finish("crawl_media", rows)
+    return finish("crawl_media", compare(*crawled(*_ENTRY), "media"))
 
 
 @query("crawl_spatial_neardup")  # non-SQL: self-verifying vs brute force
@@ -2427,8 +2284,7 @@ def crawl_spatial_neardup(sf_dir: str) -> pd.DataFrame:
     the distributed pair set must equal an O(n²) brute-force pass over
     the same offers (offer-scale, bounded), raising on divergence."""
     from ..stages.geo import haversine_m, spatial_neardup_pairs
-    from .crawlverify import CrawlVerificationError
-    offers_t = _crawl_result().table("offers")
+    offers_t = crawled(*_ENTRY)[0].table("offers")
     offers = rd.from_arrow(offers_t)
     rows = spatial_neardup_pairs(offers).take_all()
     got_pairs = {(r["id_a"], r["id_b"]) for r in rows}
@@ -2469,8 +2325,7 @@ def crawl_reverse_geocode(sf_dir: str) -> pd.DataFrame:
     SELF-VERIFYING: the actor-pool result must equal a sequential
     haversine argmin over the same centroids, raising on divergence."""
     from ..stages.geo import CITY_CENTROIDS, haversine_m, reverse_geocode
-    from .crawlverify import CrawlVerificationError
-    offers_t = _crawl_result().table("offers")
+    offers_t = crawled(*_ENTRY)[0].table("offers")
     offers = rd.from_arrow(offers_t)
     out = pa.Table.from_pylist(
         reverse_geocode(offers).select_columns(
@@ -2502,9 +2357,7 @@ def crawl_coverage_ratio(sf_dir: str) -> pd.DataFrame:
     sequential oracle's, raising on divergence."""
     from collections import Counter
 
-    from .crawlverify import CrawlVerificationError
-    res = _crawl_result()
-    orc = _crawl_oracle_cached("res", _entry_pcfg(), _entry_ccfg())
+    res, orc = crawled(*_ENTRY)
     urls = res.table("urls").to_pandas().groupby("source").size()
     offers = res.table("offers").to_pandas().groupby("source").size()
     exp_u = Counter(r["source"] for r in orc.urls)
@@ -2531,18 +2384,16 @@ def crawl_geocode(sf_dir: str) -> pd.DataFrame:
     walk of the same chain (`crawlverify.sequential_geocode_snap`);
     comparison rows returned, divergence raises."""
     from ..stages.geo import GeocoderActor, geocode_and_snap
-    from .crawlverify import comparison, finish, sequential_geocode_snap
-    offers_t = _crawl_result().table("offers")
+    offers_t = crawled(*_ENTRY)[0].table("offers")
     offers = rd.from_arrow(offers_t)
-    cache_path = "/tmp/rsr_entry_geocache.json"
-    if os.path.exists(cache_path):  # stale cache from a previous process
-        os.unlink(cache_path)       # would warm-start the miss path
-    g = GeocoderActor.remote(cache_path=cache_path)
-    out = pa.Table.from_pylist(
-        geocode_and_snap(offers, g).select_columns(
-            ["offer_id", "lat", "lon", "geo_snapped", "geo_level"])
-        .take_all()).to_pandas()
-    ray.get(g.flush.remote())
+    # a fresh cache file, so the miss path runs cold
+    with tempfile.TemporaryDirectory(prefix="rsr_geocache_") as d:
+        g = GeocoderActor.remote(cache_path=os.path.join(d, "geocache.json"))
+        out = pa.Table.from_pylist(
+            geocode_and_snap(offers, g).select_columns(
+                ["offer_id", "lat", "lon", "geo_snapped", "geo_level"])
+            .take_all()).to_pandas()
+        ray.get(g.flush.remote())
     exp = sequential_geocode_snap(offers_t.to_pandas())
     rows = [comparison("geocode_snap", out, exp, ["offer_id"],
                        ["offer_id", "lat", "lon", "geo_snapped",
@@ -2558,8 +2409,7 @@ def crawl_geo_snap(sf_dir: str) -> pd.DataFrame:
     same cache + distance rule, raising on divergence."""
     from ..sources.synth_portal import _unit
     from ..stages.geo import haversine_m, snap_geo
-    from .crawlverify import comparison, finish
-    offers_t = _crawl_result().table("offers")
+    offers_t = crawled(*_ENTRY)[0].table("offers")
     cities = sorted(set(offers_t["city"].to_pylist()))
     cache = {c: (round(49.3 + _unit(11, "glat", c) * 5.3, 6),
                  round(14.3 + _unit(11, "glon", c) * 9.9, 6)) for c in cities}
@@ -2626,7 +2476,7 @@ def crawl_interleaved(sf_dir: str) -> pd.DataFrame:
     reference's photo ``seq`` order). Returns the per-document span
     count + order-sensitive fingerprint of the nested column."""
     from ..stages.interleave import assemble_spans, span_fingerprints
-    res = _crawl_result()
+    res = crawled(*_ENTRY)[0]
     offers_t, photos_t = res.table("offers"), res.table("photos")
     n_o, n_p = offers_t.num_rows, photos_t.num_rows
     text_rows = pa.table({
@@ -3708,8 +3558,6 @@ def assembled_training_set(sf_dir: str) -> pd.DataFrame:
     seeded epoch shuffle → per-shard sequence packing — with its
     RESUMABLE sharded parquet output, verified against one composed SQL
     oracle of all four stages."""
-    import tempfile
-
     # a fresh run into a directory removed after the read (resume is
     # tested in pytest)
     with tempfile.TemporaryDirectory(prefix="rsr_assembled_") as out:
@@ -3726,8 +3574,6 @@ def curated_corpus_docs(sf_dir: str) -> pd.DataFrame:
     end — quality gate → exact keep-first → near-dup cluster survivors —
     with its RESUMABLE hash-partitioned parquet output, verified
     against one composed SQL oracle of all three stages."""
-    import tempfile
-
     with tempfile.TemporaryDirectory(prefix="rsr_curated_") as out:
         curate_corpus(sf_dir, out, n_buckets=16)
         df = read_curated(out).select_columns(["doc_id"]).to_pandas()
@@ -4105,7 +3951,7 @@ def crawl_training_corpus(sf_dir: str) -> pd.DataFrame:
     (hierarchical prefix sum, 512-token bins). One call takes a
     reference user from crawl artifacts to a packed corpus."""
     from ..functions.textstats import rolling_hash64, token_counts
-    res = _crawl_result()
+    res = crawled(*_ENTRY)[0]
     ds = res.dataset("offers")
 
     def key(t: pa.Table) -> pa.Table:
@@ -4150,7 +3996,7 @@ def crawl_vlm_packing(sf_dir: str) -> pd.DataFrame:
     free), then hierarchical-prefix-sum packing into 4096-token bins.
     """
     from ..functions.textstats import token_counts
-    res = _crawl_result()
+    res = crawled(*_ENTRY)[0]
 
     def txt(t: pa.Table) -> pa.Table:
         title = pc.coalesce(t["title"], pa.scalar("", pa.string()))
@@ -4597,8 +4443,6 @@ def events_incremental_hourly(sf_dir: str) -> rd.Dataset:
     must equal the one-shot SQL aggregate.  This is the daily-crawl
     ingest shape: per delta, work is O(delta + touched buckets), never
     O(history)."""
-    import tempfile
-
     from ..stages.incremental import IncrementalGroupSum
 
     def partials(t: pa.Table) -> pa.Table:
@@ -4608,33 +4452,28 @@ def events_incremental_hourly(sf_dir: str) -> rd.Dataset:
             .aggregate([("n", "sum"), ("s", "sum")])
         return g.rename_columns(["hour_id", "event_type", "n", "s"])
 
-    import shutil
-
-    state = IncrementalGroupSum(
-        tempfile.mkdtemp(prefix="rsr_inc_", dir="/tmp"),
-        key_cols=["hour_id", "event_type"], int_key="hour_id")
-    ds = _pq(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
-    for part in range(4):
-        delta = ds.map_batches(
-            lambda t, p=part: t.filter(
-                pc.equal(pc.bit_wise_and(t["event_id"], 3), p)),
-            batch_format="pyarrow")
-        # side-effecting — must NOT live inside an assert (python -O)
-        if not state.update(delta, f"delta-{part}", partials):
-            raise RuntimeError(f"delta-{part} unexpectedly pre-applied")
-    if state.update(ds, "delta-2", partials):  # exactly-once retry
-        raise RuntimeError("retried delta id was re-applied")
-
-    def finish(t: pa.Table) -> pa.Table:
+    def value_sum(t: pa.Table) -> pa.Table:
         return pa.table({"hour_id": t["hour_id"],
                          "event_type": t["event_type"], "n": t["n"],
                          "value_sum": pc.divide(
                              pc.cast(t["s"], pa.float64()), 100.0)})
 
-    out = _as_arrow(state.read().map_batches(
-        finish, batch_format="pyarrow")).materialize()
-    shutil.rmtree(state.state_dir, ignore_errors=True)  # no /tmp leak
-    return out
+    ds = _pq(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
+    with tempfile.TemporaryDirectory(prefix="rsr_inc_") as d:
+        state = IncrementalGroupSum(d, key_cols=["hour_id", "event_type"],
+                                    int_key="hour_id")
+        for part in range(4):
+            delta = ds.map_batches(
+                lambda t, p=part: t.filter(
+                    pc.equal(pc.bit_wise_and(t["event_id"], 3), p)),
+                batch_format="pyarrow")
+            # side-effecting — must NOT live inside an assert (python -O)
+            if not state.update(delta, f"delta-{part}", partials):
+                raise RuntimeError(f"delta-{part} unexpectedly pre-applied")
+        if state.update(ds, "delta-2", partials):  # exactly-once retry
+            raise RuntimeError("retried delta id was re-applied")
+        return _as_arrow(state.read().map_batches(
+            value_sum, batch_format="pyarrow")).materialize()
 
 
 _ROLLUP_SQL = """
@@ -4861,8 +4700,6 @@ def documents_incremental_dedup(sf_dir: str) -> rd.Dataset:
     must return the identical survivor set without mutating state
     (exactly-once under retry).  Only (hash, id) ints ride the bucket
     exchange; each delta touches only its own hash buckets."""
-    import tempfile
-
     from ..stages.incremental import IncrementalDedup
 
     docs = _pq(sf_dir, "documents", ["doc_id", "text"])
@@ -4872,21 +4709,17 @@ def documents_incremental_dedup(sf_dir: str) -> rd.Dataset:
     odd = docs.map_batches(
         lambda t: t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), 1)),
         batch_format="pyarrow")
-    import shutil
-
-    st = IncrementalDedup(tempfile.mkdtemp(prefix="rsr_incdedup_",
-                                           dir="/tmp"))
-    st.ingest(even, "snap-0", "text", "doc_id").materialize()
-    surv = st.ingest(odd, "snap-1", "text", "doc_id") \
-        .select_columns(["doc_id"]).materialize()
-    retry = st.ingest(odd, "snap-1", "text", "doc_id")
-    ids = sorted(r["doc_id"] for r in surv.take_all())
-    if ids != sorted(r["doc_id"] for r in
-                     retry.select_columns(["doc_id"]).take_all()):
-        raise RuntimeError("retried snapshot returned different survivors")
-    out = _as_arrow(surv).materialize()
-    shutil.rmtree(st.state_dir, ignore_errors=True)  # no /tmp leak
-    return out
+    with tempfile.TemporaryDirectory(prefix="rsr_incdedup_") as d:
+        st = IncrementalDedup(d)
+        st.ingest(even, "snap-0", "text", "doc_id").materialize()
+        surv = st.ingest(odd, "snap-1", "text", "doc_id") \
+            .select_columns(["doc_id"]).materialize()
+        retry = st.ingest(odd, "snap-1", "text", "doc_id")
+        ids = sorted(r["doc_id"] for r in surv.take_all())
+        if ids != sorted(r["doc_id"] for r in
+                         retry.select_columns(["doc_id"]).take_all()):
+            raise RuntimeError("retried snapshot returned different survivors")
+        return _as_arrow(surv).materialize()
 
 
 _JSONL_RT_SQL = """
@@ -4902,22 +4735,16 @@ def documents_jsonl_roundtrip(sf_dir: str) -> rd.Dataset:
     back with ray.data's native json reader — the result must equal the
     parquet original.  JSONL is the corpus hand-off format of the
     reference's debug dump and of most curation tooling."""
-    import tempfile
-
     from .io_compat import read_jsonl_shards, write_jsonl_shards
 
-    import shutil
-
-    out = tempfile.mkdtemp(prefix="rsr_jsonl_", dir="/tmp")
-    docs = _pq(sf_dir, "documents",
-               ["doc_id", "lang", "source", "n_chars"])
-    write_jsonl_shards(docs, out)
-    back = read_jsonl_shards(out).map_batches(
-        lambda t: t.select(["doc_id", "lang", "source", "n_chars"]),
-        batch_format="pyarrow")
-    res = _as_arrow(back).materialize()
-    shutil.rmtree(out, ignore_errors=True)  # no /tmp leak per run
-    return res
+    with tempfile.TemporaryDirectory(prefix="rsr_jsonl_") as out:
+        docs = _pq(sf_dir, "documents",
+                   ["doc_id", "lang", "source", "n_chars"])
+        write_jsonl_shards(docs, out)
+        back = read_jsonl_shards(out).map_batches(
+            lambda t: t.select(["doc_id", "lang", "source", "n_chars"]),
+            batch_format="pyarrow")
+        return _as_arrow(back).materialize()
 
 
 _CMS_SQL = r"""
@@ -4982,51 +4809,39 @@ def crawl_revisit(sf_dir: str) -> pd.DataFrame:
     carried forward from the prior run's fragments.  Full semantics
     (changed-subset re-parse, A→B→C chains, resume interplay) are
     equality-tested in tests/test_revisit.py."""
-    import tempfile
-
-    from ..config import CrawlConfig, PortalConfig
     from .crawl import read_fragments, run_crawl
 
     pcfg = PortalConfig(regions=("pomorskie",), base_pages=2,
                         page_size_scale=0.1)
     ccfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
                        fetch_batch_size=64, validators=True)
-    import dataclasses
-    import shutil
-
-    wd_a = tempfile.mkdtemp(prefix="rsr_revisit_a_", dir="/tmp")
-    wd_b = tempfile.mkdtemp(prefix="rsr_revisit_b_", dir="/tmp")
-    try:
+    with tempfile.TemporaryDirectory(prefix="rsr_revisit_") as d:
+        wd_a, wd_b = os.path.join(d, "a"), os.path.join(d, "b")
         res_a = run_crawl(pcfg, ccfg, wd_a)
         cfg_b = dataclasses.replace(ccfg, validators_from=wd_a)
         res_b = run_crawl(pcfg, cfg_b, wd_b)
-
         v = read_fragments(os.path.join(wd_b, "validators"))
-        counts = {s: n for s, n in zip(*map(
-            lambda a: a.to_pylist(),
-            v.group_by("status").aggregate([("url", "count")]).columns))}
         a_off = res_a.table("offers").to_pandas().sort_values("url") \
             .reset_index(drop=True)
         b_off = res_b.table("offers").to_pandas().sort_values("url") \
             .reset_index(drop=True)
-        from .crawlverify import CrawlVerificationError, _mismatches
-        n_mismatch = _mismatches(b_off, a_off, ["url"], None)
-        if n_mismatch or not a_off.equals(b_off):
-            # loud on divergence (r4 verdict ask #3): the revisit run
-            # must carry forward 304 rows byte-identically
-            raise CrawlVerificationError(
-                f"crawl_revisit: revisit offers diverged from the "
-                f"first run ({n_mismatch} mismatched rows)")
-        return pd.DataFrame([{
-            "n_not_modified": int(counts.get("not_modified", 0)),
-            "n_parsed_detail": int(counts.get("ok", 0)),
-            "offers_first": len(a_off), "offers_revisit": len(b_off),
-            "n_mismatch": int(n_mismatch),
-            "revisit_parsed_offers": int(res_b.offers),
-        }])
-    finally:  # no /tmp leak, success or failure
-        shutil.rmtree(wd_a, ignore_errors=True)
-        shutil.rmtree(wd_b, ignore_errors=True)
+    counts = {s: n for s, n in zip(*map(
+        lambda a: a.to_pylist(),
+        v.group_by("status").aggregate([("url", "count")]).columns))}
+    n_mismatch = _mismatches(b_off, a_off, ["url"], None)
+    if n_mismatch or not a_off.equals(b_off):
+        # loud on divergence (r4 verdict ask #3): the revisit run
+        # must carry forward 304 rows byte-identically
+        raise CrawlVerificationError(
+            f"crawl_revisit: revisit offers diverged from the "
+            f"first run ({n_mismatch} mismatched rows)")
+    return pd.DataFrame([{
+        "n_not_modified": int(counts.get("not_modified", 0)),
+        "n_parsed_detail": int(counts.get("ok", 0)),
+        "offers_first": len(a_off), "offers_revisit": len(b_off),
+        "n_mismatch": int(n_mismatch),
+        "revisit_parsed_offers": int(res_b.offers),
+    }])
 
 
 _WEIGHTED_SAMPLE_SQL = """
@@ -5087,14 +4902,6 @@ def crawl_daily_pipeline(sf_dir: str) -> pd.DataFrame:
     The final state must equal a from-scratch aggregate of day 1's full
     offer table (asserted here; the query returns the maintained
     aggregate)."""
-    import shutil
-    import tempfile
-    import zlib
-
-    from ..config import CrawlConfig, PortalConfig
-    from ..stages.incremental import IncrementalGroupSum
-    from .crawl import run_crawl
-
     pcfg0 = PortalConfig(regions=("pomorskie", "mazowieckie"),
                          base_pages=2, page_size_scale=0.1)
     pcfg1 = PortalConfig(regions=("pomorskie", "mazowieckie"),
@@ -5102,19 +4909,14 @@ def crawl_daily_pipeline(sf_dir: str) -> pd.DataFrame:
                          content_version=1, changed_per_mille=250)
     ccfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
                        fetch_batch_size=64, validators=True)
-    wd_a = tempfile.mkdtemp(prefix="rsr_daily_a_", dir="/tmp")
-    wd_b = tempfile.mkdtemp(prefix="rsr_daily_b_", dir="/tmp")
-    sdir = tempfile.mkdtemp(prefix="rsr_daily_state_", dir="/tmp")
-    try:
-        return _daily_pipeline_body(pcfg0, pcfg1, ccfg, wd_a, wd_b, sdir)
-    finally:  # no /tmp leak — including on the divergence error path
-        for d in (wd_a, wd_b, sdir):
-            shutil.rmtree(d, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="rsr_daily_") as d:
+        return _daily_pipeline_body(pcfg0, pcfg1, ccfg,
+                                    *(os.path.join(d, n)
+                                      for n in ("a", "b", "state")))
 
 
 def _daily_pipeline_body(pcfg0, pcfg1, ccfg, wd_a, wd_b, sdir
                          ) -> pd.DataFrame:
-    import dataclasses
     import zlib
 
     import pyarrow.parquet as pq_mod
@@ -7135,9 +6937,8 @@ def crawl_sitemap_audit(sf_dir: str) -> pd.DataFrame:
     frontier tooling."""
     from ..sources.synth_portal import Portal
     from ..stages.sitemap import parse_sitemap, sitemap_entries
-    from .crawlverify import comparison, finish, set_comparison
 
-    pcfg = _entry_pcfg()
+    pcfg = _ENTRY[0]
 
     def index_rows(portal):
         return [{"source": s, "region": r,
@@ -7162,7 +6963,7 @@ def crawl_sitemap_audit(sf_dir: str) -> pd.DataFrame:
                                  "chunk_idx": ci, "pos": pos})
     exp = pd.DataFrame(exp_rows)
 
-    orc = _crawl_oracle_cached("res", pcfg, _entry_ccfg())
+    orc = crawled(*_ENTRY)[1]
     discovered = {r["offer_url"] for r in orc.urls}
     rows = [
         comparison("entries", got, exp,
@@ -7192,40 +6993,17 @@ def crawl_sitemap_seeded(sf_dir: str) -> pd.DataFrame:
     stage as the listing crawl, with no listing walk — the §2.10
     composition story for a brand-new discovery source. Verified
     in-process against the sequential walk oracle (offers rows, photo
-    spans, URL set + crawl-order keys); comparison rows returned,
-    divergence raises."""
-    from ..config import CrawlConfig, PortalConfig
+    spans, URL set + crawl-order keys, page_idx 0 on both sides);
+    comparison rows returned, divergence raises."""
     from ..sources.synth_portal import Portal
-    from .crawlverify import comparison, finish, set_comparison
     from .sitemap_crawl import sitemap_crawl, sitemap_crawl_oracle
     pcfg = PortalConfig(regions=("pomorskie", "mazowieckie"),
                         base_pages=2, page_size_scale=0.12)
     ccfg = CrawlConfig(urlseen_shards=2, urlseen_capacity=1 << 14,
                        fetch_batch_size=64)
-    if "sitemap_seeded" not in _CRAWL_CACHE:
-        _CRAWL_CACHE["sitemap_seeded"] = (
-            sitemap_crawl(pcfg, ccfg),
-            sitemap_crawl_oracle(Portal(pcfg), ccfg))
-    res, orc = _CRAWL_CACHE["sitemap_seeded"]
-    rows = [
-        comparison("offers", res.offers.to_pandas(),
-                   pd.DataFrame(orc.offers),
-                   ["source", "region", "pos"],
-                   ["offer_id", "source", "url", "price_amount",
-                    "price_currency", "price_per_m2", "city", "lat",
-                    "lon", "area_m2", "rooms", "posted_at"]),
-        comparison("photos", res.photos.to_pandas(),
-                   pd.DataFrame(orc.photos), ["offer_id", "seq"],
-                   ["offer_id", "seq", "url"]),
-        comparison("urls", res.urls.to_pandas(),
-                   pd.DataFrame(orc.urls),
-                   ["source", "region", "pos"],
-                   ["offer_url", "offer_id", "source", "region", "pos"]),
-        set_comparison("url_seen",
-                       set(res.urls["offer_url"].to_pylist()),
-                       {r["offer_url"] for r in orc.urls}),
-    ]
-    return finish("crawl_sitemap_seeded", rows)
+    return finish("crawl_sitemap_seeded", compare(
+        sitemap_crawl(pcfg, ccfg), sitemap_crawl_oracle(Portal(pcfg), ccfg),
+        "offers", "photos", "urls", "url_seen"))
 
 
 # ---------------------------------------------------------------------------

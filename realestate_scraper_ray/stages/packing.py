@@ -9,7 +9,8 @@ or scans globally, and the driver sees one total per bucket, never a
 row. ``bucket_offsets`` is the driver step for buckets in key order; a
 caller that already knows its bucket sizes (a merged histogram) passes
 its own offsets, and ``offsets=None`` starts every bucket at 0 (an
-epoch shard packs on its own).
+epoch shard packs on its own). ``typed`` is the zero-row guard every
+map-ended result needs.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def pack(ds: rd.Dataset, bucket: str, order: list[str], out: pa.Schema,
         base = 0 if offsets is None else offsets[t[bucket][0].as_py()]
         return packed(t, order, out, weight, bin, base)
 
-    res = (ds.groupby(bucket).map_groups(fold, batch_format="pyarrow")
-           .materialize())
-    return res if res.count() else rd.from_arrow(out.empty_table())
+    return typed(ds.groupby(bucket).map_groups(fold, batch_format="pyarrow"),
+                 out)
+
+
+def typed(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
+    """``ds`` materialized, or a zero-row Dataset of ``schema`` when it
+    has no rows: Ray Data drops the schema of any map over nothing."""
+    ds = ds.materialize()
+    return ds if ds.count() else rd.from_arrow(schema.empty_table())

@@ -156,24 +156,21 @@ class PolitenessShard:
 
 class PolitenessService:
     """Driver/stage-side client over leased shard actors. ``headroom`` is
-    a checkpointed host→remaining-delay map (``dump_headroom``; the
-    legacy list of per-shard maps also loads): it is split here with the
-    same crc32 routing ``acquire`` uses and each shard applies its slice
-    in its reset, so the shard count may differ from the checkpointed
-    crawl's."""
+    a checkpointed host→remaining-delay map (``dump_headroom``): it is
+    split here with the same crc32 routing ``acquire`` uses and each
+    shard applies its slice in its reset, so the shard count may differ
+    from the checkpointed crawl's."""
 
     def __init__(self, n_shards: int, rps_per_host: float, burst: int = 1,
                  backoff_factor: float = 1.0,
                  backoff_cap_mult: float = 16.0,
-                 headroom: dict[str, float] | list[dict] | None = None):
+                 headroom: dict[str, float] | None = None):
         self.n = n_shards
         # politeness off (synthetic-fetch benches) ⇒ no shard actors at
         # all: don't reserve CPU for a service that is never called
         self._lease, self.epoch = None, None
         if rps_per_host >= 1e8:
             return
-        if isinstance(headroom, list):  # legacy per-shard-list checkpoint
-            headroom = {h: d for blob in headroom for h, d in blob.items()}
         per_shard: list[dict[str, float]] = [{} for _ in range(n_shards)]
         for host, delay in (headroom or {}).items():
             per_shard[zlib.crc32(host.encode()) % n_shards][host] = delay
@@ -260,26 +257,3 @@ class PolitenessService:
         if self._lease is not None:
             self._lease.release()
 
-
-def parse_robots(text: str) -> list[str]:
-    """Minimal robots.txt: Disallow prefixes for User-agent: * groups."""
-    prefixes: list[str] = []
-    active = False
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition(":")
-        key, val = key.strip().lower(), val.strip()
-        if key == "user-agent":
-            active = val == "*"
-        elif key == "disallow" and active and val:
-            prefixes.append(val)
-    return prefixes
-
-
-def path_allowed(url: str, prefixes: list[str]) -> bool:
-    i = url.find("://")
-    j = url.find("/", i + 3 if i >= 0 else 0)
-    path = url[j:] if j >= 0 else "/"
-    return not any(path.startswith(p) for p in prefixes)

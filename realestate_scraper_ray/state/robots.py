@@ -1,12 +1,10 @@
 """RFC 9309 Robots Exclusion Protocol matcher (north_rule addition).
 
-The reference has no robots handling at all; the engine's original
-guard was a Disallow-prefix list for ``User-agent: *`` groups
-(``politeness.parse_robots``). This module upgrades that to the
-published REP semantics — the behavior every production crawler
-implements — while the legacy functions stay for the synthetic-portal
-fast path (its robots file is a single plain Disallow prefix, on which
-both matchers agree; ``tests/test_robots.py`` asserts the equivalence):
+The reference has no robots handling at all. The fetch stage obeys
+robots.txt through this module's published REP semantics — the
+behavior every production crawler implements — and nothing else (the
+synthetic portal's robots file is one plain Disallow prefix;
+``tests/test_robots.py`` pins its verdicts):
 
 - **group selection** (RFC 9309 §2.2.1): lines are grouped by
   ``User-agent``; consecutive UA lines share one group; groups with the

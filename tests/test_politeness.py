@@ -4,13 +4,15 @@ the blocking min-interval limiter (http.py:11-21) — ours is per-host,
 so budget enforcement must hold per host while throughput scales with
 host-parallelism."""
 
+import json
+import os
 import time
 
 import pytest
 import ray
 
 from realestate_scraper_ray.config import CrawlConfig, PortalConfig
-from realestate_scraper_ray.pipelines.crawl import run_crawl
+from realestate_scraper_ray.pipelines.crawl import gen_dir, run_crawl
 from realestate_scraper_ray.state.politeness import PolitenessShard, PolitenessService
 
 
@@ -86,7 +88,8 @@ def test_budget_headroom_checkpoint_roundtrip(ray_session):
     assert off.shards == [] and off.dump_headroom() == {}
 
 
-def test_headroom_restores_across_different_shard_count(ray_session):
+def test_headroom_restores_across_different_shard_count(ray_session,
+                                                        tmp_path):
     """The checkpoint is shard-count independent: a resume with MORE (or
     fewer) politeness shards must still route every restored budget to
     the shard acquire consults — a positional per-shard restore would
@@ -113,12 +116,17 @@ def test_headroom_restores_across_different_shard_count(ray_session):
         shard = resumed.shards[zlib.crc32(h.encode()) % 5]
         assert ray.get(shard.acquire.remote(h, 1, epoch=resumed.epoch)) > 1.0
 
-    # legacy list-of-per-shard-blobs checkpoints still restore
-    legacy = PolitenessService(3, rps_per_host=1.0,
-                               headroom=[{h: 120.0} for h in hosts])
-    for h in hosts:
-        shard = legacy.shards[zlib.crc32(h.encode()) % 3]
-        assert ray.get(shard.acquire.remote(h, 1, epoch=legacy.epoch)) > 1.0
+    # a checkpoint in the old list-of-per-shard-maps layout is refused
+    # on the driver, before any shard is leased
+    ck = gen_dir(str(tmp_path), "checkpoint", 1)
+    os.makedirs(ck)
+    with open(os.path.join(ck, "state.json"), "w") as f:
+        json.dump({"regions": {}}, f)
+    with open(os.path.join(ck, "politeness.json"), "w") as f:
+        json.dump([{h: 120.0} for h in hosts], f)
+    with pytest.raises(ValueError, match="host→delay map"):
+        run_crawl(PortalConfig(regions=("pomorskie",)), CrawlConfig(),
+                  str(tmp_path), resume=True)
 
 
 def test_politeness_burst_carries_bounded_credit(ray_session):

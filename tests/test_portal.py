@@ -91,12 +91,12 @@ def test_area_correction_rule():
 
 
 def test_robots():
-    from realestate_scraper_ray.state.politeness import parse_robots, path_allowed
+    from realestate_scraper_ray.state.robots import parse_robots_policy
     p = _portal()
-    prefixes = parse_robots(p.robots_txt("pomorskie.otodom.pl"))
-    assert prefixes == ["/private"]
-    assert not path_allowed("https://x.pl/private/pl/oferta/a-ID1", prefixes)
-    assert path_allowed("https://x.pl/pl/oferta/a-ID1", prefixes)
+    pol = parse_robots_policy(p.robots_txt("pomorskie.otodom.pl"), "*")
+    assert [(r.allow, r.pattern) for r in pol.rules] == [(False, "/private")]
+    assert not pol.allowed_url("https://x.pl/private/pl/oferta/a-ID1")
+    assert pol.allowed_url("https://x.pl/pl/oferta/a-ID1")
 
 
 def test_prose_surface_parses_to_exact_facts(ray_session):

@@ -3,6 +3,12 @@ prefix of queries() (round 2's driver checked exactly the first 50), so
 the canonical one-per-operator-family set must come first and stay
 stable."""
 
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
 from realestate_scraper_ray.pipelines.relational import (
     CANONICAL_FIRST, ORACLE, QUERIES,
 )
@@ -56,7 +62,9 @@ def test_crawl_verification_flips(ray_session, monkeypatch):
         CrawlVerificationError,
     )
 
-    real = R._crawl_result()  # populate the cache with the real run
+    from realestate_scraper_ray.pipelines import crawlverify
+
+    real, orc = crawlverify.crawled(*R._ENTRY)  # the real, cached run
 
     class Broken:
         """Engine result whose offers table silently lost a row."""
@@ -71,11 +79,11 @@ def test_crawl_verification_flips(ray_session, monkeypatch):
         def __getattr__(self, attr):
             return getattr(self._inner, attr)
 
-    monkeypatch.setitem(R._CRAWL_CACHE, "res", Broken(real))
+    monkeypatch.setitem(crawlverify._RUNS, R._ENTRY, (Broken(real), orc))
     with pytest.raises(CrawlVerificationError):
         R.crawl_offers_wide("/root/testdata/sf0.01")
     # restore + sanity: the unbroken run verifies green
-    monkeypatch.setitem(R._CRAWL_CACHE, "res", real)
+    monkeypatch.setitem(crawlverify._RUNS, R._ENTRY, (real, orc))
     out = R.crawl_offers_wide("/root/testdata/sf0.01")
     assert (out["n_mismatch"] == 0).all()
 
@@ -118,3 +126,60 @@ def test_crawlverify_missing_column_is_a_mismatch():
     assert _mismatches(a.iloc[:0], no_v.iloc[:0], ["k"], ["k", "v"]) == 1
     with pytest.raises(CrawlVerificationError, match="3 mismatches"):
         finish("q", [comparison("t", a, no_v, ["k"], ["k", "v"])])
+
+
+# Scratch space in the package is a ``tempfile.TemporaryDirectory``
+# (``$TMPDIR``-aware, removed even when the query raises); crawl
+# workdirs come from ``crawlverify.crawled``. None of these may return.
+_SCRATCH_NEEDLES = ('"/tmp', "mkdtemp(", "_CRAWL_CACHE", "_fresh_workdir")
+
+
+@pytest.mark.parametrize("needle", _SCRATCH_NEEDLES)
+def test_no_fixed_or_leaking_scratch_paths(needle):
+    pkg = Path(__file__).resolve().parents[1] / "realestate_scraper_ray"
+    hits = [f"{p.relative_to(pkg).as_posix()}:{i}"
+            for p in sorted(pkg.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if needle in line]
+    assert not hits, f"{needle!r} in the package: {hits}"
+
+
+def test_raising_query_leaves_no_scratch_dir(ray_session, tmp_path,
+                                            monkeypatch):
+    """A query that raises after making its scratch directory still
+    removes it: here its input table is missing, or its crawl fails."""
+    from realestate_scraper_ray.pipelines import crawl
+
+    made, mkdtemp = [], tempfile.mkdtemp
+
+    def spy(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    def failing_crawl(*args, **kwargs):
+        raise RuntimeError("planted crawl failure")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    monkeypatch.setattr(crawl, "run_crawl", failing_crawl)
+    for name in ("documents_jsonl_roundtrip", "crawl_revisit",
+                 "crawl_daily_pipeline"):
+        with pytest.raises(Exception):
+            QUERIES[name](str(tmp_path))
+    assert [p for p in made if os.path.exists(p)] == []
+    assert made
+
+
+def test_entry_crawl_runs_in_a_process_temp_dir(ray_session, tmp_path,
+                                                monkeypatch):
+    """The registry's crawls run in a fresh directory under the temp
+    root (``$TMPDIR``), not at a fixed path another process shares."""
+    from realestate_scraper_ray.pipelines import crawlverify
+    from realestate_scraper_ray.pipelines import relational as R
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(crawlverify, "_RUNS", {})
+    monkeypatch.setattr(crawlverify, "_ROOT", None)
+    assert len(R.crawl_urls("unused")) > 0
+    workdir = Path(crawlverify.crawled(*R._ENTRY)[0].workdir)
+    assert workdir.parent.parent == tmp_path
+    assert workdir.parent.name.startswith("rsr_crawls_")

@@ -69,21 +69,20 @@ def test_bad_crawl_delay_and_empty_file():
     assert pol.crawl_delay is None and not pol.allowed("/p/x")
 
 
-def test_legacy_prefix_equivalence_on_portal_robots():
-    # the synthetic portal's robots file is a single plain prefix — the
-    # REP matcher and the legacy Disallow-prefix matcher must agree
+def test_portal_robots_is_one_disallow_prefix():
+    # the synthetic portal's robots file is a single plain Disallow
+    # prefix: it blocks every path that starts with "/private" and
+    # nothing else
     from realestate_scraper_ray.config import PortalConfig
     from realestate_scraper_ray.sources.synth_portal import Portal
-    from realestate_scraper_ray.state.politeness import (parse_robots,
-                                                         path_allowed)
 
     txt = Portal(PortalConfig()).robots_txt("pomorskie.otodom.pl")
-    legacy = parse_robots(txt)
     pol = parse_robots_policy(txt, "realestate-scraper-ray")
-    for url in ("https://x.pl/private/pl/oferta/a-ID1",
-                "https://x.pl/pl/oferta/a-ID1",
-                "https://x.pl/", "https://x.pl/privateer"):
-        assert pol.allowed_url(url) == path_allowed(url, legacy), url
+    for url, allowed in (("https://x.pl/private/pl/oferta/a-ID1", False),
+                         ("https://x.pl/pl/oferta/a-ID1", True),
+                         ("https://x.pl/", True),
+                         ("https://x.pl/privateer", False)):
+        assert pol.allowed_url(url) == allowed, url
 
 
 def test_shard_min_spacing_widens_never_narrows(ray_session):

@@ -75,8 +75,9 @@ def test_crawl_training_corpus_matches_brute_force(ray_session):
     got = QUERIES["crawl_training_corpus"](sf)
     # crawl_offers_wide returns verification rows since r5; take the
     # wide offers frame straight from the cached engine result
-    from realestate_scraper_ray.pipelines.relational import _crawl_result
-    offers = _crawl_result().table("offers").to_pandas()
+    from realestate_scraper_ray.pipelines.crawlverify import crawled
+    from realestate_scraper_ray.pipelines.relational import _ENTRY
+    offers = crawled(*_ENTRY)[0].table("offers").to_pandas()
     o = offers[offers["description"].notna()].copy()
     o["oid"] = o["offer_id"].astype("int64")
     o["n_tokens"] = o["description"].str.split().map(len)
@@ -103,8 +104,9 @@ def test_crawl_vlm_packing_matches_brute_force(ray_session):
     from realestate_scraper_ray.pipelines.relational import QUERIES
     sf = "/root/testdata/sf0.001"
     got = QUERIES["crawl_vlm_packing"](sf)
-    from realestate_scraper_ray.pipelines.relational import _crawl_result
-    offers = _crawl_result().table("offers").to_pandas()
+    from realestate_scraper_ray.pipelines.crawlverify import crawled
+    from realestate_scraper_ray.pipelines.relational import _ENTRY
+    offers = crawled(*_ENTRY)[0].table("offers").to_pandas()
     photos = QUERIES["crawl_photos"](sf)
     o = offers.copy()
     o["oid"] = o["offer_id"].astype("int64")
@@ -126,10 +128,12 @@ def test_crawl_vlm_packing_matches_brute_force(ray_session):
 
 def test_packing_queries_on_zero_rows_are_typed(tmp_path):
     """A zero-row documents table gives a zero-row result that still has
-    every output column, with its type (Ray Data drops the schema of a
-    map over nothing; the shared packer puts it back)."""
+    every output column, with its type, as a Dataset and through the
+    driver gate's ``to_pandas`` (Ray Data drops the schema of a map over
+    nothing; ``stages/packing.typed`` puts it back)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
+    import ray.data as rd
 
     from realestate_scraper_ray.pipelines.relational import QUERIES
     docs = pq.read_table(f"{SF}/documents.parquet")
@@ -138,11 +142,21 @@ def test_packing_queries_on_zero_rows_are_typed(tmp_path):
     for name, cols in (
             ("sequence_packing", {"doc_id": i64, "n_tokens": i64,
                                   "tok_offset": i64, "pack_bin": i64}),
-            ("epoch_shuffle", {"doc_id": i64, "shard": s, "pos": i64})):
+            ("epoch_shuffle", {"doc_id": i64, "shard": s, "pos": i64}),
+            ("documents_clean_corpus", {"doc_id": i64, "source": s,
+                                        "n_words": i64}),
+            ("quality_quantile_filter", {"doc_id": i64, "n_words": i64}),
+            ("source_temperature_sample", {"doc_id": i64, "source": s}),
+            ("dedup_corpus_survivors", {"doc_id": i64})):
         out = QUERIES[name](str(tmp_path))
-        assert out.count() == 0, name
-        schema = out.schema().base_schema
-        assert dict(zip(schema.names, schema.types)) == cols, name
+        if isinstance(out, rd.Dataset):
+            assert out.count() == 0, name
+            schema = out.schema().base_schema
+            assert dict(zip(schema.names, schema.types)) == cols, name
+            out = out.to_pandas()  # the driver gate keeps the columns
+        want = pa.schema(list(cols.items())).empty_table().to_pandas()
+        assert out.shape == (0, len(cols)), name
+        assert out.dtypes.to_dict() == want.dtypes.to_dict(), name
 
 
 def test_pipeline_queries_leave_no_temp_dir(tmp_path, monkeypatch):
