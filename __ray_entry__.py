@@ -28,15 +28,15 @@ def entry() -> Any:
 
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from realestate_scraper_ray.functions.textstats import (
         quality_stats, rolling_hash64, token_counts,
     )
+    from realestate_scraper_ray.stages.exchange import read
 
     sf_dir = "/root/testdata/sf0.001"
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text", "lang", "source", "n_chars"])
+    ds = read(os.path.join(sf_dir, "documents.parquet"),
+              ["doc_id", "text", "lang", "source", "n_chars"])
 
     def enrich(t: pa.Table) -> pa.Table:
         txt = t["text"].combine_chunks()

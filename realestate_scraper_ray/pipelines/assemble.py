@@ -42,6 +42,7 @@ import ray.data as rd
 
 from ..functions.textstats import md5_fingerprints, token_counts
 from ..stages.aggregate import grouped
+from ..stages.exchange import read
 from ..stages.packing import packed
 
 OUT = pa.schema([("doc_id", pa.int64()), ("source", pa.string()),
@@ -150,8 +151,8 @@ def assemble_training_set(sf_dir: str, out_dir: str, *,
                     f"{out_dir} was assembled with {key}={prev[key]}; "
                     f"re-running with {key}={cur} would mix shard "
                     "contents — use a fresh out_dir")
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text", "source"])
+    ds = read(os.path.join(sf_dir, "documents.parquet"),
+              ["doc_id", "text", "source"])
 
     def tok(t: pa.Table) -> pa.Table:
         tc = token_counts(t["text"].combine_chunks())
@@ -222,4 +223,4 @@ def read_assembled(out_dir: str) -> rd.Dataset:
         p = os.path.join(out_dir, d, "part.parquet")
         if d.startswith("shard=") and os.path.exists(p):
             files.append(p)
-    return rd.read_parquet(files)
+    return read(files)

@@ -60,7 +60,7 @@ from ..config import CrawlConfig, PortalConfig
 from ..functions.urls import extract_offer_ids, host_of
 from ..schemas import FRONTIER, URLS
 from ..sources.synth_portal import Portal
-from ..stages.exchange import bucket_of
+from ..stages.exchange import bucket_of, read
 from ..stages.fetch import COMBINED_SCHEMA, make_fetch_fn
 from ..state.politeness import PolitenessService
 from ..state.urlseen import UrlSeenService
@@ -153,7 +153,7 @@ class CrawlResult:
             self.workdir, "frontier" if name == "urls" else name))
         if not files:
             return rd.from_arrow(_empty(name))
-        ds = rd.read_parquet(files)
+        ds = read(files)
         if name == "urls":
             return ds.map_batches(urls_of, batch_format="pyarrow")
         keep = self._keep_set(name)
@@ -828,7 +828,7 @@ def _pending_quarantined_offer_pages(workdir: str) -> pa.Table | None:
         return (t.filter(pc.is_in(t["url"], value_set=ray.get(ref)))
                 .select(["url"]))
 
-    done = rd.read_parquet(ofiles, columns=["url"]).map_batches(
+    done = read(ofiles, ["url"]).map_batches(
         probe, batch_format="pyarrow").take_all()
     fetched = {r["url"] for r in done}
     if not fetched:

@@ -37,7 +37,7 @@ import ray.data as rd
 from ray.data.aggregate import Min
 
 from ..functions.textstats import md5_fingerprints, quality_stats
-from ..stages.exchange import bucket_of, exchange
+from ..stages.exchange import bucket_of, exchange, read
 from ..stages.joins import semi_join
 from ..stages.packing import typed
 
@@ -99,8 +99,8 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
     skipped (resume); delete ``manifest.json`` + partial buckets to
     redo them."""
     os.makedirs(out_dir, exist_ok=True)
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text", "source"])
+    ds = read(os.path.join(sf_dir, "documents.parquet"),
+              ["doc_id", "text", "source"])
     n_in = ds.count()
     gated = quality_gate(ds).materialize()
     n_gated = gated.count()
@@ -159,4 +159,4 @@ def read_curated(out_dir: str) -> rd.Dataset:
         p = os.path.join(out_dir, d, "part.parquet")
         if d.startswith("bucket=") and os.path.exists(p):
             files.append(p)
-    return rd.read_parquet(files)
+    return read(files)

@@ -39,7 +39,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..config import CrawlConfig, PortalConfig
 from ..stages.aggregate import grouped, scaled
-from ..stages.exchange import exchange
+from ..stages.exchange import exchange, read
 from ..stages.packing import bucket_offsets, pack, typed
 from .assemble import (
     assemble_training_set, epoch_key, quantile_cutoff, read_assembled,
@@ -68,12 +68,10 @@ def query(name: str, sql: str | None = None):
 
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None,
         filter=None) -> rd.Dataset:
-    """Column-pruned (and optionally row-filter-pushed) parquet read:
-    ``filter`` is a pyarrow expression evaluated at the fragment scan —
-    row groups whose statistics exclude it never leave storage, and the
-    filter column need not be in ``columns``."""
-    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                           columns=columns, filter=filter)
+    """Column-pruned (and optionally row-filter-pushed) read of one
+    sf-dir table, blocks sized by bytes (``exchange.read``)."""
+    return read(os.path.join(sf_dir, f"{table}.parquet"), columns, filter)
+
 
 def _cents(t: pa.Table) -> pa.Array:
     """``value`` in integer cents: the oracle's ``ROUND(value*100)``."""
@@ -4321,19 +4319,25 @@ FROM deg d0 LEFT JOIN (
     return head + "".join(its) + f"\nSELECT node, rank FROM p{n_iter}"
 
 
+# The graph queries' node-keyed folds (edge distinct, k-core degrees,
+# BFS min-distance) each run one ``exchange`` on a string node key with
+# a vectorized polars pass per bucket.
+_GRAPH_BUCKETS = 32
+
+
 def _event_bipartite_edges(sf_dir: str, distinct: bool = True) -> rd.Dataset:
     """Distinct bidirectional user↔item edges from the events table
-    (item = props.k): per-batch distinct partials, then one pair-key
-    exchange — only (src, dst) strings ride the shuffle.  Reverse edges
+    (item = props.k): per-batch distinct partials, then one exchange on
+    ``src`` whose per-bucket fold is a polars ``unique`` — a pair never
+    splits across buckets because its ``src`` does not. Reverse edges
     make every node's out-degree >= 1 (no dangling-mass term).
 
-    ``distinct=False`` skips the global pair-key exchange and returns
-    only per-batch-deduped edges — correct for consumers whose fold is
-    idempotent under duplicate edges (BFS min-dist: a duplicate edge
-    yields a duplicate candidate that the groupby-MIN collapses), and
-    saves the full string-pair sort shuffle (~4 s of the 5.6 s edge
-    build at sf0.1). Degree-weighted consumers (pagerank, HITS) need
-    the default."""
+    ``distinct=False`` skips the exchange and returns only per-batch-
+    deduped edges — correct for consumers whose fold is idempotent
+    under duplicate edges (BFS min-dist: a duplicate edge yields a
+    duplicate candidate that the min-distance fold collapses).
+    Degree-weighted consumers (pagerank, HITS, k-core) need the
+    default."""
 
     def mk(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t)
@@ -4349,9 +4353,9 @@ def _event_bipartite_edges(sf_dir: str, distinct: bool = True) -> rd.Dataset:
     batched = ev.map_batches(mk, batch_format="pyarrow")
     if not distinct:
         return batched
-    return (batched
-            .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-            .select_columns(["src", "dst"]))
+    return exchange(batched, "src",
+                    lambda t: pl.from_arrow(t).unique().to_arrow(),
+                    _GRAPH_BUCKETS)
 
 
 @query("graph_pagerank", _pagerank_sql())
@@ -6387,6 +6391,11 @@ FROM bfs GROUP BY node ORDER BY node
 """
 
 
+def _min_dist(t: pa.Table) -> pa.Table:
+    return (pl.from_arrow(t).group_by("node")
+            .agg(pl.col("dist").min()).to_arrow())
+
+
 @query("graph_bfs_hops", _bfs_sql())
 def graph_bfs_hops(sf_dir: str) -> pd.DataFrame:
     """BFS hop distance from the smallest user over the bipartite
@@ -6394,16 +6403,17 @@ def graph_bfs_hops(sf_dir: str) -> pd.DataFrame:
     family (reachability, k-hop neighborhoods). Frontier expansion:
     each round semi-joins the edge list against the previous round's
     NEW nodes (broadcast while the frontier is under the 64 MiB cap,
-    hash-partitioned semi join above it), then one groupby-MIN folds
-    candidates into the visited table — no anti-join needed, because
-    a re-reached node simply keeps its smaller distance and never
+    hash-partitioned semi join above it), then one two-sided exchange
+    of visited and candidates on ``node`` folds each bucket to its
+    per-node minimum distance — no anti-join needed, because a
+    re-reached node simply keeps its smaller distance and never
     re-enters a frontier. Per round only node-scale tables move plus
     one pass over the edge list. Early-exits when a frontier is empty.
     The oracle is a recursive CTE over the identical edge set."""
     from ..stages.joins import semi_join
     # distinct=False: BFS is idempotent under duplicate edges (dup
-    # candidates collapse in the groupby-MIN), so the edge build skips
-    # the global string-pair dedup shuffle — per-batch dedup only
+    # candidates collapse in the min-distance fold), so the edge build
+    # skips the global pair dedup exchange — per-batch dedup only
     edges = _event_bipartite_edges(sf_dir, distinct=False).materialize()
     seed = "u" + str(int(_pq(sf_dir, "events", ["user_id"])
                          .min("user_id")))
@@ -6429,14 +6439,10 @@ def graph_bfs_hops(sf_dir: str) -> pd.DataFrame:
                         "dist": pa.array(np.full(t.num_rows, rr,
                                                  np.int64))}),
                     batch_format="pyarrow"))
-        # repartition(8) coalesces the aggregate's ~64 shuffle outputs
-        # before they union into the NEXT round's fold — without it the
-        # visited block count grows ~64/round and the sort-aggregate's
-        # per-block constant dominates (193 blocks by round 3, 2.7 s
-        # folds); node-scale data, so the coalesce is cheap
-        visited = (visited.union(cand).groupby("node")
-                   .aggregate(Min("dist", alias_name="dist"))
-                   .repartition(8).materialize())
+        # the exchange has one reducer per input block, so visited
+        # grows by cand's block count (one per edge-list block) a round
+        visited = exchange([visited, cand], "node", _min_dist,
+                           _GRAPH_BUCKETS).materialize()
         frontier = (visited.map_batches(
             lambda t, rr=r: t.filter(pc.equal(t["dist"], rr))
             .select(["node"]), batch_format="pyarrow")
@@ -6749,9 +6755,9 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
     Physical plan (round-5 rewrite; the round-4 cut paid 37 s at sf0.1
     in a 12-branch union of 64-way-split reads → 768 tiny blocks →
     Ray's sort-based groupby, whose ~20 ms/block constant dominated):
-    every TABLE is read exactly once with blocks sized from the file's
-    bytes (one block per ~64 MiB, so block count tracks data volume,
-    not Ray's small-file split heuristic), and one per-block partial
+    every TABLE is read exactly once through ``exchange.read`` (one
+    block per MiB of file bytes, so block count tracks data volume,
+    not Ray's CPU-count split heuristic), and one per-block partial
     emits bucketed unique keys for ALL of that table's roles — fact
     sides tagged ``edge``, dimension sides tagged ``ne+edge``. One
     union of 7 coarse branches feeds ONE 32-bucket exchange that
@@ -6780,9 +6786,6 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
 
     scans = []
     for tbl, rs in roles.items():
-        path = os.path.join(sf_dir, f"{tbl}.parquet")
-        nblk = max(1, os.path.getsize(path) // (64 << 20))
-
         def partial(t: pa.Table, rs=tuple(rs)) -> pa.Table:
             parts = []
             for tag, c, is_fact in rs:
@@ -6805,10 +6808,8 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
             return pa.concat_tables(parts)
 
         cols = sorted({c for _, c, _ in rs})
-        part = (rd.read_parquet(path, columns=cols,
-                                override_num_blocks=nblk)
-                .map_batches(partial, batch_format="pyarrow",
-                             batch_size=None))
+        part = _pq(sf_dir, tbl, cols).map_batches(
+            partial, batch_format="pyarrow", batch_size=None)
         scans.append(part)
 
     def audit(t: pa.Table) -> pa.Table:
@@ -7131,9 +7132,6 @@ def lineitem_key_skew(sf_dir: str) -> pd.DataFrame:
     top-20 plus a total-rows sentinel → bounded driver final top-20
     (≤ 21 × 32 rows, never key-scale). share_micro is exact integer
     floor division. 3.5 → ~0.6 s at sf0.1."""
-    path = os.path.join(sf_dir, "lineitem.parquet")
-    nblk = max(1, os.path.getsize(path) // (64 << 20))
-
     def partial(t: pa.Table) -> pa.Table:
         k = pc.cast(t["l_partkey"], pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -7153,10 +7151,8 @@ def lineitem_key_skew(sf_dir: str) -> pd.DataFrame:
                          schema={"k": pl.Int64, "n": pl.Int64}),
         ]).to_arrow()
 
-    counts = (rd.read_parquet(path, columns=["l_partkey"],
-                              override_num_blocks=nblk)
-              .map_batches(partial, batch_format="pyarrow",
-                           batch_size=None))
+    counts = _pq(sf_dir, "lineitem", ["l_partkey"]).map_batches(
+        partial, batch_format="pyarrow", batch_size=None)
     parts = exchange(counts, "k", bucket_top, 32).to_pandas()
     total = int(parts.loc[parts["k"] == -1, "n"].sum())
     top = (parts[parts["k"] >= 0]
@@ -7359,37 +7355,39 @@ SELECT src AS node, CAST(COUNT(*) AS BIGINT) AS degree
 FROM b{rounds} GROUP BY src ORDER BY node""")
 
 
+def _degrees(t: pa.Table) -> pl.DataFrame:
+    """(node, degree) of every ``src`` in an edge bucket."""
+    return (pl.from_arrow(t).group_by("src")
+            .agg(pl.len().cast(pl.Int64).alias("degree"))
+            .rename({"src": "node"}))
+
+
 @query("graph_kcore", _kcore_sql())
 def graph_kcore(sf_dir: str) -> pd.DataFrame:
     """Bounded-round k-core (k=45, 4 peel rounds — k chosen to actually
     peel: 250→219 nodes at sf0.01, 1600→1305 at sf0.1, then fixpoint) over the symmetric
     user↔item graph: iteratively drop nodes with degree < k and
-    restrict edges to survivors. Per round: one combiner-first degree
-    exchange (node-scale) + two adaptive semi joins filtering the
-    materialized edge list (broadcast under the 64 MiB cap,
+    restrict edges to survivors. Per round: one exchange on ``src``
+    whose per-bucket polars fold counts degrees and keeps the nodes at
+    ``k`` or above (node-scale output), then two adaptive semi joins
+    filter the materialized edge list (broadcast under the 64 MiB cap,
     hash-partition above) — the BFS execution discipline (materialize
-    once per round, repartition-coalesced, metadata counts). Early-
-    exits at a fixpoint, which is invariant under the oracle's
-    remaining unrolled rounds."""
+    once per round, metadata counts). Early-exits at a fixpoint, which
+    is invariant under the oracle's remaining unrolled rounds; the
+    final degree count is the same exchange without the filter."""
     from ..stages.joins import semi_join
     # _event_bipartite_edges already emits BOTH directions distinctly —
     # exactly the oracle's b0 = e UNION reverse(e)
-    b = _event_bipartite_edges(sf_dir).repartition(8).materialize()
+    b = _event_bipartite_edges(sf_dir).materialize()
     for _ in range(_KCORE_ROUNDS):
         n_edges = b.count()  # metadata: b is materialized
-        keep = (b.groupby("src")
-                .aggregate(Count(alias_name="deg"))
-                .map_batches(
-                    lambda t: t.filter(pc.greater_equal(
-                        t["deg"], pa.scalar(_KCORE_K, t["deg"].type)))
-                    .select(["src"]),
-                    batch_format="pyarrow")
-                .map_batches(lambda t: t.rename_columns(["node"]),
-                             batch_format="pyarrow")
-                .materialize())
-        b = (semi_join(semi_join(b, keep, "src", "node"),
-                       keep, "dst", "node")
-             .repartition(8).materialize())
+        keep = exchange(
+            b, "src",
+            lambda t: _degrees(t).filter(pl.col("degree") >= _KCORE_K)
+            .select("node").to_arrow(),
+            _GRAPH_BUCKETS).materialize()
+        b = semi_join(semi_join(b, keep, "src", "node"),
+                      keep, "dst", "node").materialize()
         if b.count() == n_edges:  # fixpoint: further rounds are no-ops
             break
     if b.count() == 0:
@@ -7398,10 +7396,9 @@ def graph_kcore(sf_dir: str) -> pd.DataFrame:
         # returns zero rows there too
         return pd.DataFrame({"node": pd.Series([], dtype="object"),
                              "degree": pd.Series([], dtype="int64")})
-    out = (b.groupby("src").aggregate(Count(alias_name="degree"))
-           .to_pandas())
-    return (out.rename(columns={"src": "node"})
-            .astype({"degree": "int64"})
+    out = exchange(b, "src", lambda t: _degrees(t).to_arrow(),
+                   _GRAPH_BUCKETS).to_pandas()
+    return (out.astype({"degree": "int64"})
             .sort_values("node").reset_index(drop=True))
 
 

@@ -15,14 +15,20 @@ the property on-disk bucket layouts (``stages/incremental.py``,
 
 Map-side combiners are not a parameter: run the partial with
 ``map_batches`` before ``exchange`` and Ray fuses the two steps.
+
+``read`` lives here too: a read's block count is the mapper and
+reducer count of every sort exchange after it.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+from ray.data import DataContext
 
 from ..functions.sketches import splitmix64
 from ..functions.textstats import fnv1a64
@@ -63,3 +69,19 @@ def exchange(ds, key: str, fold, nb: int) -> rd.Dataset:
                     for d in (ds if isinstance(ds, list) else [ds])]
     return ((first.union(*rest) if rest else first)
             .groupby("_bkt").map_groups(run, batch_format="pyarrow"))
+
+
+def read(paths, columns: list[str] | None = None, filter=None) -> rd.Dataset:
+    """Parquet read of one file or a list of files in as few blocks as
+    their bytes fill: one per ``DataContext.target_min_block_size``
+    (Ray's 1 MiB minimum block) of file bytes, at least one. Ray's
+    default split floors at twice the CPU count however small the data,
+    and every map and sort exchange after the read then runs that many
+    tasks. ``filter`` is a pyarrow expression evaluated at the fragment
+    scan: row groups whose statistics exclude it never leave storage,
+    and its column need not be in ``columns``."""
+    nbytes = sum(map(os.path.getsize,
+                     [paths] if isinstance(paths, str) else paths))
+    nblk = max(1, nbytes // DataContext.get_current().target_min_block_size)
+    return rd.read_parquet(paths, columns=columns, filter=filter,
+                           override_num_blocks=nblk)

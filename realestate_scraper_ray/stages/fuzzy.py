@@ -128,14 +128,15 @@ def _variant_hashes(strs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def editdist_batch(sa: list[str], sb: list[str], kmax: int) -> np.ndarray:
-    """Exact Levenshtein distances for aligned string pairs, DP
-    vectorized ACROSS the pair axis (the j-dependency loop runs over
-    character positions only — max_len² scalar steps of O(n_pairs)
-    vector work). Pairs with |len a − len b| > kmax short-circuit to
-    kmax+1 (they can never pass the join threshold). The DP runs per
-    length class (pairs sorted by their longer string, one chunk per
-    power-of-two length band), so one long outlier costs its own
-    chunk's square, not every pair's."""
+    """Levenshtein distances for aligned string pairs, exact up to
+    ``kmax`` and ``kmax + 1`` beyond it (such a pair can never pass the
+    join threshold). The DP is vectorized ACROSS the pair axis and
+    banded: it computes only the cells with |i − j| ≤ kmax, so a chunk
+    costs max_len × (2·kmax + 1) steps of O(n_pairs) vector work.
+    Pairs with |len a − len b| > kmax short-circuit without a DP. The
+    DP runs per length class (pairs sorted by their longer string, one
+    chunk per power-of-two length band), so one long outlier costs its
+    own chunk's rows, not every pair's."""
     n = len(sa)
     if n == 0:
         return np.empty(0, np.int64)
@@ -155,48 +156,59 @@ def editdist_batch(sa: list[str], sb: list[str], kmax: int) -> np.ndarray:
         chunk = idx[lo:hi]
         ans[chunk] = _editdist_dp([ca[i] for i in chunk],
                                   [cb[i] for i in chunk],
-                                  la[chunk], lb[chunk])
+                                  la[chunk], lb[chunk], kmax)
     return ans
 
 
 def _editdist_dp(ca: list[np.ndarray], cb: list[np.ndarray],
-                 la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Levenshtein distances of aligned codepoint arrays, one DP over
-    the chunk padded to its longest strings."""
+                 la: np.ndarray, lb: np.ndarray, kmax: int) -> np.ndarray:
+    """Levenshtein distances of aligned codepoint arrays (every pair
+    has |la − lb| ≤ kmax), capped at ``kmax + 1``: one DP over the
+    chunk padded to its longest strings, restricted to the diagonal
+    band |i − j| ≤ kmax. A cell off the band is at least |i − j| >
+    kmax away, so it enters as the cap (Ukkonen's cut-off); no cell is
+    off it once kmax reaches the longest string. Column ``d`` of row
+    ``i`` holds cell ``j = i + d − k``."""
     max_a = int(la.max())
     max_b = int(lb.max())
     m = len(ca)
+    k = min(kmax, max(max_a, max_b))
+    w = 2 * k + 1
+    cap = kmax + 1
 
-    def pad(arrs, width):
-        out = np.zeros((m, width), np.uint32)
+    def pad(arrs, lead, width):
+        out = np.zeros((m, lead + width), np.uint32)
         flat = (np.concatenate(arrs) if width else
                 np.empty(0, np.uint32))
         lens = np.array([len(a) for a in arrs], np.int64)
         rows = np.repeat(np.arange(m), lens)
         offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        cols = np.arange(len(flat)) - np.repeat(offs, lens)
+        cols = lead + np.arange(len(flat)) - np.repeat(offs, lens)
         if len(flat):
             out[rows, cols] = flat
         return out
 
-    A = pad(ca, max_a)
-    B = pad(cb, max_b)
-    prev = np.broadcast_to(np.arange(max_b + 1, dtype=np.int32),
-                           (m, max_b + 1)).copy()
+    A = pad(ca, 0, max_a)
+    # b's character j - 1 sits at column i + d - 1 for every row i >= 1
+    B = pad(cb, k, max(max_b, max_a + k))
+    d = np.arange(w)
+    prev = np.broadcast_to(np.where(d >= k, d - k, cap).astype(np.int32),
+                           (m, w)).copy()
     res = np.where(la == 0, lb, -1).astype(np.int64)
     for i in range(1, max_a + 1):
-        cur = np.empty_like(prev)
-        cur[:, 0] = i
-        sub = prev[:, :-1] + (B != A[:, i - 1][:, None])
-        for j in range(1, max_b + 1):
-            cur[:, j] = np.minimum(np.minimum(prev[:, j] + 1,
-                                              cur[:, j - 1] + 1),
-                                   sub[:, j - 1])
+        cur = prev + (B[:, i - 1:i - 1 + w] != A[:, i - 1][:, None])
+        np.minimum(cur[:, :-1], prev[:, 1:] + 1, out=cur[:, :-1])
+        j = i + d - k
+        cur[:, j < 0] = cap
+        cur[:, j == 0] = i
+        for c in range(max(1, k - i + 1), w):
+            np.minimum(cur[:, c], cur[:, c - 1] + 1, out=cur[:, c])
+        np.minimum(cur, cap, out=cur)
         done = la == i
         if done.any():
-            res[done] = cur[done, lb[done]]
+            res[done] = cur[done, lb[done] - i + k]
         prev = cur
-    return res
+    return np.minimum(res, cap)
 
 
 def fuzzy_selfjoin_editdist(ds: rd.Dataset, id_col: str, str_col: str,

@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .exchange import bucket_of, exchange
+from .exchange import bucket_of, exchange, read
 
 
 class IncrementalGroupSum:
@@ -136,7 +136,7 @@ class IncrementalGroupSum:
             if d.startswith("bucket="))
         if not paths:
             return rd.from_items([])
-        return rd.read_parquet(paths)
+        return read(paths)
 
 
 class IncrementalDedup:

@@ -12,8 +12,11 @@ This script measures the constants the engine's physical plans trade
 against, on the current machine:
 
   empty_exec        one no-op map_batches execution over 1 row
-  read_exec         read a tiny parquet (Ray splits it 64-way) + no-op
+  read_exec         read a tiny parquet (Ray's default split: twice the
+                    CPU count at least) + no-op
   read_exec_1blk    same read forced to 1 block (override_num_blocks)
+  sized_read_exec   same read through the engine's ``exchange.read``
+                    (blocks sized by file bytes: 1 here) + no-op
   manifest_exec     the crawl wave's shape: a one-row from_arrow manifest
                     into one map whose task reads that row group itself
   groupby_64blk     sort-exchange over 64 tiny blocks
@@ -24,11 +27,11 @@ Mitigations shipped in round 5 (BASELINE.md "execution constant"):
   - fewer executions per round: graph_bfs_hops materializes each
     frontier once (metadata count, no count() execution) — 3 -> 2
     executions/round, 9.2 -> ~3.6 s at sf0.1;
-  - fewer blocks per execution: fk_integrity_audit reads each table
-    at file-size granularity instead of the 64-way small-file split
-    (768 -> ~14 blocks, 37 -> ~2 s); graph_bfs_hops coalesces the
-    visited fold with repartition(8) so block count stays flat
-    across rounds instead of growing ~64/round.
+  - fewer blocks per execution: every parquet read goes through
+    ``exchange.read``, one block per MiB of file bytes instead of the
+    CPU-count split (fk_integrity_audit: 768 -> ~14 blocks, 37 -> ~2 s
+    at sf0.1), so each sort exchange after it runs as few mappers and
+    reducers as the data fills.
 
 Usage: python scripts/exec_constant.py  (prints one JSON line)
 """
@@ -71,6 +74,8 @@ def main() -> None:
     import ray.data as rd
     from ray.data import DataContext
 
+    from realestate_scraper_ray.stages.exchange import read
+
     DataContext.get_current().enable_progress_bars = False
 
     out: dict = {}
@@ -85,6 +90,8 @@ def main() -> None:
             lambda t: t, batch_format="pyarrow").materialize())
         out["read_exec_1blk"] = _t(lambda: rd.read_parquet(
             p, override_num_blocks=1).map_batches(
+            lambda t: t, batch_format="pyarrow").materialize())
+        out["sized_read_exec"] = _t(lambda: read(p).map_batches(
             lambda t: t, batch_format="pyarrow").materialize())
         manifest = pa.table({"path": [p], "row_group": [0]})
         out["manifest_exec"] = _t(lambda: rd.from_arrow(manifest).map_batches(

@@ -1,14 +1,18 @@
 """The one hash exchange (stages/exchange.py): pinned bucket ids, key
-completeness per bucket, empty input, and a guard that no other
-bucket-hash family creeps back into the package."""
+completeness per bucket, empty input, the byte-sized parquet read, and
+a guard that no other bucket-hash family or parquet read creeps back
+into the package."""
 
+import os
 import pathlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
-from realestate_scraper_ray.stages.exchange import bucket_of, exchange
+from realestate_scraper_ray.stages.exchange import bucket_of, exchange, read
 
 _INT_KEYS = np.array([0, 1, 2, 7, 42, 1000003, -1, 2**40 + 5], np.int64)
 _STR_KEYS = ["", "a", "abc", "token", "https://x.pl/oferta/123", "żółć"]
@@ -111,17 +115,75 @@ def test_exchange_empty_dataset(ray_session):
     assert exchange(ds, "k", lambda t: t, 8).count() == 0
 
 
+def _blocks(ds) -> int:
+    return ds.materialize().num_blocks()
+
+
+def test_read_sub_mib_file_is_one_block(ray_session, tmp_path):
+    # the session has 4 CPUs: Ray's own split would give 8 blocks
+    p = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": np.arange(30_000, dtype=np.int64)}), p)
+    assert _blocks(read(p)) == 1
+    assert read(p).count() == 30_000
+
+
+def test_read_gives_one_block_per_min_block_of_bytes(ray_session, tmp_path):
+    from ray.data import DataContext
+    p = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": np.arange(30_000, dtype=np.int64)}), p)
+    ctx = DataContext.get_current()
+    old = ctx.target_min_block_size
+    try:
+        for k in (2, 3, 5):
+            ctx.target_min_block_size = os.path.getsize(p) // k
+            assert _blocks(read(p)) == k
+    finally:
+        ctx.target_min_block_size = old
+
+
+def test_read_many_small_files_is_one_block(ray_session, tmp_path):
+    paths = []
+    for i in range(12):
+        paths.append(str(tmp_path / f"p{i}.parquet"))
+        pq.write_table(pa.table({"x": np.arange(i * 100, i * 100 + 100)}),
+                       paths[-1])
+    ds = read(paths)
+    assert _blocks(ds) == 1
+    assert sorted(ds.to_pandas()["x"]) == list(range(1200))
+
+
+def test_read_matches_pyarrow_on_empty_file_and_filter(ray_session,
+                                                        tmp_path):
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"x": pa.array([], pa.int64()),
+                             "s": pa.array([], pa.string())}), empty)
+    assert read(empty).count() == 0
+    assert pq.read_table(empty).num_rows == 0
+
+    p = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": np.arange(1000, dtype=np.int64),
+                             "s": [f"v{i % 7}" for i in range(1000)]}),
+                   p, row_group_size=100)
+    flt = (pc.field("x") >= 250) & (pc.field("s") == "v3")
+    got = read(p, ["x"], flt).to_pandas()
+    want = pq.read_table(p, columns=["x"], filters=flt).to_pandas()
+    assert list(got.columns) == ["x"]
+    assert sorted(got["x"]) == sorted(want["x"]) and len(want) > 0
+
+
 _PKG = pathlib.Path(__file__).resolve().parent.parent / "realestate_scraper_ray"
 
-# the only places a raw hash constant, a bucket shuffle, a value
-# rounding, a 31-bit pair packing or a row normalization may live: the
-# splitmix64 / MinHash kernels, the exchange, the aggregate primitive's
-# one money-scaling rule, the pair primitive and ``_norm_rows``. No
-# version-dependent polars hash is allowed anywhere.
+# the only places a raw hash constant, a bucket shuffle, a parquet
+# read, a value rounding, a 31-bit pair packing or a row normalization
+# may live: the splitmix64 / MinHash kernels, the exchange (and its
+# byte-sized ``read``), the aggregate primitive's one money-scaling
+# rule, the pair primitive and ``_norm_rows``. No version-dependent
+# polars hash is allowed anywhere.
 _ALLOWED = {
     "0x9E3779B97F4A7C15": {"functions/sketches.py", "functions/textstats.py"},
     "hash(seed=": set(),
     'groupby("_bkt")': {"stages/exchange.py"},
+    "rd.read_parquet(": {"stages/exchange.py"},
     "pc.round(": {"stages/aggregate.py"},
     "(1 << 31) - 1": {"stages/pairs.py"},
     "np.linalg.norm(": {"stages/similarity.py"},

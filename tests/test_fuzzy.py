@@ -94,6 +94,25 @@ def test_editdist_batch_long_outlier_among_short_names():
     assert (editdist_batch(sa, sb, 250) == exp).all()
 
 
+def test_editdist_batch_banded_matches_brute_force():
+    # the DP computes only the band |i - j| <= kmax: every distance up
+    # to kmax is exact and every larger one reads exactly kmax + 1
+    rng = random.Random(11)
+    alpha = "abż"
+    sa = ["".join(rng.choice(alpha) for _ in range(rng.randint(0, 14)))
+          for _ in range(400)]
+    sb = [a if rng.random() < 0.2 else
+          "".join(rng.choice(alpha)
+                  for _ in range(max(0, len(a) + rng.randint(-4, 4))))
+          for a in sa]
+    sa.append("x" * 200)  # one long pair at distance 1
+    sb.append("x" * 199 + "y")
+    exp = np.array([_ed(a, b) for a, b in zip(sa, sb)])
+    for kmax in (0, 1, 3):
+        got = editdist_batch(sa, sb, kmax)
+        assert (got == np.minimum(exp, kmax + 1)).all(), kmax
+
+
 def _noisy_names(n: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     base = [f"Widget Model {i:04d}" for i in range(n // 2)]
