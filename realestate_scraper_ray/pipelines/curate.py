@@ -37,7 +37,7 @@ import ray.data as rd
 from ray.data.aggregate import Min
 
 from ..functions.textstats import md5_fingerprints, quality_stats
-from ..stages.exchange import bucket_of, exchange, read
+from ..stages.exchange import buckets, exchange, read
 from ..stages.joins import semi_join
 from ..stages.packing import typed
 
@@ -111,11 +111,10 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
 
     # content-keyed buckets (``exchange.bucket_of`` — version-stable,
     # so buckets written by one environment resume identically in a
-    # rebuilt one); each bucket's task writes its own file (atomic tmp
-    # + rename, skip-if-exists) and only (bucket, rows, wrote) summary
-    # rows reach the driver
-    def write_bucket(t: pa.Table) -> pa.Table:
-        bucket = int(bucket_of(t["doc_id"][:1], n_buckets)[0])
+    # rebuilt one); each bucket in a fold's block writes its own file
+    # (atomic tmp + rename, skip-if-exists) and only (bucket, rows,
+    # wrote) summary rows reach the driver
+    def write_bucket(bucket: int, t: pa.Table) -> pa.Table:
         bdir = os.path.join(out_dir, f"bucket={bucket:02d}")
         dest = os.path.join(bdir, "part.parquet")
         wrote = False
@@ -130,7 +129,8 @@ def curate_corpus(sf_dir: str, out_dir: str, n_buckets: int = 16,
                          "rows": pa.array([t.num_rows], pa.int64()),
                          "wrote": pa.array([wrote])})
 
-    summary = exchange(kept, "doc_id", write_bucket,
+    summary = exchange(kept, "doc_id", lambda t: pa.concat_tables(
+        write_bucket(b, g) for b, g in buckets(t, "doc_id", n_buckets)),
                        n_buckets).to_pandas()
     counts = dict(zip(summary["bucket"].astype(int),
                       summary["rows"].astype(int)))

@@ -435,14 +435,14 @@ FROM o GROUP BY user_id
 
 # The per-user window family (sessionize / top-k / lag / running total /
 # moving avg / as-of / range join) runs ONE ``exchange`` on user_id, then
-# a single vectorized polars (or pandas merge_asof) pass per bucket.
+# a single vectorized polars (or pandas merge_asof) pass per exchange block.
 _WINDOW_BUCKETS = 64
 
 
 @query("events_sessionize", _SESSION_SQL)
 def events_sessionize(sf_dir: str) -> rd.Dataset:
     """Session windows (30-min gap): bucketed exchange + one polars
-    diff-over-user pass per bucket (integer-µs gap compare, exactly the
+    diff-over-user pass per block (integer-µs gap compare, exactly the
     float-seconds > 1800 boundary of the oracle)."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id"])
 
@@ -550,7 +550,7 @@ FROM r WHERE rnk <= 3
 @query("events_topk_per_user", _TOPK_SQL)
 def events_topk_per_user(sf_dir: str) -> rd.Dataset:
     """Grouped top-k (rank window): bucketed exchange, then one polars
-    sort + rank-over-user + filter pass per bucket — k rows per key
+    sort + rank-over-user + filter pass per block — k rows per key
     leave the pass, so downstream volume is k·|groups|."""
     ds = _pq(sf_dir, "events", ["user_id", "event_id", "value"])
 
@@ -576,7 +576,7 @@ FROM events
 @query("events_lag", _LAG_SQL)
 def events_lag(sf_dir: str) -> rd.Dataset:
     """LAG window (the as-of-previous-row shape): bucketed exchange +
-    one polars shift-over-user pass per bucket."""
+    one polars shift-over-user pass per block."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def lag(t: pa.Table) -> pa.Table:
@@ -601,7 +601,7 @@ FROM events
 @query("events_running_total", _RUNNING_SQL)
 def events_running_total(sf_dir: str) -> rd.Dataset:
     """Per-key running aggregate: bucketed exchange + one polars
-    cum_sum-over-user pass per bucket. The cumulative sum is over
+    cum_sum-over-user pass per block. The cumulative sum is over
     integer cents, so combine order can't drift."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -637,7 +637,7 @@ WINDOW win AS (PARTITION BY user_id ORDER BY ts, event_id
 @query("events_moving_avg", _MOVING_AVG_SQL)
 def events_moving_avg(sf_dir: str) -> rd.Dataset:
     """ROWS-frame window (moving average over the trailing 3 rows per
-    key): bucketed exchange + one polars pass per bucket. Integer-cent
+    key): bucketed exchange + one polars pass per block. Integer-cent
     cumulative sums make the windowed sum EXACT (int64 cumsum
     differences lose nothing), so the double division matches SQL
     bit-for-bit regardless of combine order."""
@@ -681,8 +681,8 @@ def events_asof_purchase(sf_dir: str) -> rd.Dataset:
     ``map_groups`` — one shuffle, O(n log m) per group, no driver state.
     Composition: bucketed exchange on user_id, then ONE ``merge_asof``
     (by=user_id, backward, strict — allow_exact_matches=False gives
-    p.ts < e.ts) per bucket: a single galloping pass over the
-    ts-sorted bucket instead of a pandas call per user. Partitioning
+    p.ts < e.ts) per block: a single galloping pass over the
+    ts-sorted block instead of a pandas call per user. Partitioning
     assumption: one user's events fit in a bucket (salt the time axis
     into coarse buckets carrying the last right-row forward if a key
     ever outgrows a block). Deterministic: (user_id, ts) is unique in
@@ -719,7 +719,7 @@ def events_range_join(sf_dir: str) -> rd.Dataset:
     """Band (range) self-join: for each event, how many events by the
     same user fall in the (ts, ts+5min] window.
 
-    Bucketed exchange + one vectorized rank-difference pass per bucket:
+    Bucketed exchange + one vectorized rank-difference pass per block:
     the count in (ts, ts+5min] per user is rank(ts+5min) − rank(ts)
     within the user — the upper rank resolves with a single
     ``merge_asof`` (by=user_id, backward) of the shifted timestamps
@@ -4321,14 +4321,14 @@ FROM deg d0 LEFT JOIN (
 
 # The graph queries' node-keyed folds (edge distinct, k-core degrees,
 # BFS min-distance) each run one ``exchange`` on a string node key with
-# a vectorized polars pass per bucket.
+# a vectorized polars pass per exchange block.
 _GRAPH_BUCKETS = 32
 
 
 def _event_bipartite_edges(sf_dir: str, distinct: bool = True) -> rd.Dataset:
     """Distinct bidirectional user↔item edges from the events table
     (item = props.k): per-batch distinct partials, then one exchange on
-    ``src`` whose per-bucket fold is a polars ``unique`` — a pair never
+    ``src`` whose per-block fold is a polars ``unique`` — a pair never
     splits across buckets because its ``src`` does not. Reverse edges
     make every node's out-degree >= 1 (no dangling-mass term).
 
@@ -5326,7 +5326,7 @@ ORDER BY 1, 2
 def events_string_agg_daily(sf_dir: str) -> pd.DataFrame:
     """Ordered string aggregation (string_agg ... ORDER BY): per
     (event_type, day) the comma-joined ordered id list. One coarse
-    day-bucketed exchange; inside each bucket a single polars
+    day-bucketed exchange; inside each block a single polars
     sort + group_by builds every group's concat vectorized (order is
     total — event_id is unique — so bucket-local concat is exact)."""
     ds = _pq(sf_dir, "events", ["event_id", "ts", "event_type"],
@@ -5382,7 +5382,7 @@ def funnel_conversion(sf_dir: str) -> pd.DataFrame:
     """Ordered 3-stage funnel (view → click → purchase, strictly later
     timestamps): per user, the first view, the first click AFTER that
     view, the first purchase AFTER that click. One coarse-bucket
-    exchange on user_id; inside each bucket one vectorized polars pass
+    exchange on user_id; inside each block one vectorized polars pass
     computes the three stage timestamps per user via filtered
     window-min expressions (no per-user Python). Buckets emit 3
     partial-count rows each; the driver folds ~3·n_buckets rows —
@@ -5641,7 +5641,7 @@ def events_transition_matrix(sf_dir: str) -> pd.DataFrame:
     """First-order Markov transition counts + row-normalized
     probabilities over per-user event sequences (the sequence-mining
     sibling of `funnel_conversion`). One coarse user-bucket exchange;
-    each bucket runs ONE vectorized polars shift-over-user pass and
+    each block runs ONE vectorized polars shift-over-user pass and
     pre-aggregates to (prev, next) partial counts, so at most
     |types|² rows leave any bucket. The probability divides two exact
     int64 counts, so the double is bit-identical to the oracle's.
@@ -6026,7 +6026,7 @@ def events_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
     BOTH, each type's user support, and the lift
     ``n_both·n_users / (n_a·n_b)`` (>1 ⇒ the types attract). ONE
     user-bucket exchange carries the distinct ``(user, type)`` stream;
-    inside each bucket one polars pass dedups, self-joins on user (a
+    inside each block one polars pass dedups, self-joins on user (a
     per-user set is ≤ |types| wide, so pairs are ≤ |types|² per user),
     and pre-aggregates pair / support / distinct-user partials into a
     single tagged union — so only domain-sized partials reach the
@@ -6178,7 +6178,7 @@ def waiting_suppliers(sf_dir: str) -> pd.DataFrame:
     after a finished order's date, the order had ≥2 distinct suppliers,
     and NO other supplier was late. Both sides (status-filtered orders,
     lineitem) are tagged into ONE stream and co-located by a single
-    orderkey-bucket exchange; per bucket one polars pass joins, folds
+    orderkey-bucket exchange; per block one polars pass joins, folds
     per-(order, supplier) lateness, and applies both quantifiers — so
     the two correlated subqueries of the SQL cost one shuffle total.
     The domain-sized per-supplier counts then broadcast-join the
@@ -6614,7 +6614,7 @@ def events_sliding_distinct(sf_dir: str) -> pd.DataFrame:
     windows it serves (fan-out bounded by window/slide — the standard
     sliding-distinct trade), per-batch (window, user) partials dedup
     map-side, and ONE 32-bucket hash exchange finishes the global
-    distinct with a vectorized per-bucket fold emitting (window,
+    distinct with a vectorized per-block fold emitting (window,
     partial-count) — window-scale rows to the driver, never
     user-scale. Anchors restrict to event-bearing hours via a
     broadcast of the (calendar-bounded) hour set."""
@@ -6762,7 +6762,7 @@ def fk_integrity_audit(sf_dir: str) -> pd.DataFrame:
     sides tagged ``edge``, dimension sides tagged ``ne+edge``. One
     union of 7 coarse branches feeds ONE 32-bucket exchange that
     co-locates fact keys with the matching dimension keys under the
-    same hash; per bucket the orphan check is a vectorized np.isin and
+    same hash; per block the orphan check is a vectorized np.isin and
     only (edge, 4 scalars) leaves. No broadcast (dims hash-partition
     alongside the facts, so the plan holds when a dimension outgrows
     any cap), no anti join (orphans come from subtraction). 37 → <3 s
@@ -6888,7 +6888,7 @@ def corpus_inverted_index(sf_dir: str) -> pd.DataFrame:
     twice; 2.1 → ~0.7 s at sf0.1): per-batch (token, doc) partial
     counts collapse duplicate occurrences map-side, then a 32-bucket
     token-hash exchange co-locates every posting of a token, and one
-    vectorized polars pass per bucket folds postings → (df, tf,
+    vectorized polars pass per block folds postings → (df, tf,
     first) and applies the df gate INSIDE the pipeline — only the
     frequent-token tail reaches the driver; at corpus scale the full
     posting table never materializes anywhere."""
@@ -7041,7 +7041,7 @@ def events_cdc_apply(sf_dir: str) -> pd.DataFrame:
     unchanged. Physical plan: per-batch pre-reduce (each batch keeps
     its per-key latest op — the combiner), then ONE coarse-bucket
     exchange co-locating changelog partials WITH the base rows of the
-    same key hash; per bucket a vectorized polars sort/first resolves
+    same key hash; per block a vectorized polars sort/first resolves
     the winner and applies delete/upsert. No join, no second exchange;
     at 100 TB both sides hash-partition by key and only per-batch-
     reduced rows move. Values in exact integer cents, rounded half away
@@ -7128,7 +7128,7 @@ def lineitem_key_skew(sf_dir: str) -> pd.DataFrame:
     join. Physical plan (the fk-audit shape — Ray's sort-based
     key-level Aggregate cost a flat ~3.5 s here at ANY block count):
     per-block unique-key count partials → ONE 32-bucket hash exchange
-    → a vectorized polars fold per bucket emitting that bucket's
+    → a vectorized polars fold per block emitting that block's
     top-20 plus a total-rows sentinel → bounded driver final top-20
     (≤ 21 × 32 rows, never key-scale). share_micro is exact integer
     floor division. 3.5 → ~0.6 s at sf0.1."""
@@ -7368,7 +7368,7 @@ def graph_kcore(sf_dir: str) -> pd.DataFrame:
     peel: 250→219 nodes at sf0.01, 1600→1305 at sf0.1, then fixpoint) over the symmetric
     user↔item graph: iteratively drop nodes with degree < k and
     restrict edges to survivors. Per round: one exchange on ``src``
-    whose per-bucket polars fold counts degrees and keeps the nodes at
+    whose per-block polars fold counts degrees and keeps the nodes at
     ``k`` or above (node-scale output), then two adaptive semi joins
     filter the materialized edge list (broadcast under the 64 MiB cap,
     hash-partition above) — the BFS execution discipline (materialize

@@ -127,9 +127,9 @@ def minhash_lsh_pairs(ds: rd.Dataset, text_col: str, id_col: str,
                          "id_b": t["id_b"].filter(pa.array(keep)),
                          "jaccard": inter[keep] / np.maximum(1, union[keep])})
 
-    # 64 coarse buckets: one fold call per bucket, not per LSH bucket
-    # (a per-bucket UDF call is the scale killer at ~1 bucket per
-    # document × bands)
+    # 64 coarse buckets, one fold call per exchange block, not per LSH
+    # bucket (a per-LSH-bucket UDF call is the scale killer at ~1
+    # bucket per document × bands)
     cand = candidates(ds, id_col, band_keys, 64)
     return result(verify(cand, ds, id_col, [text_col], score),
                   {"id_a": "int64", "id_b": "int64", "jaccard": "float64"})
@@ -292,7 +292,7 @@ def similarity_join_jaccard(ds: rd.Dataset, text_col: str, id_col: str,
          (``n_verify_buckets`` tasks — prefix groups average a handful
          of rows, and one call per group pays the tiny-group overhead
          ~20k times at sf0.1).
-      3. one vectorized fold per bucket: after the (token, id, side)
+      3. one vectorized fold per block: after the (token, id, side)
          dedup every bucket row belongs to exactly one prefix group, so
          ``pairs.shared_counts`` over (token, shingle) runs preserves
          per-group semantics in ONE sort over row-pair keys;
@@ -738,7 +738,7 @@ def containment_pairs(ds: rd.Dataset, text_col: str, id_col: str,
     ALL its tokens — the standard asymmetric prefix-index shape, which
     ``pairs.candidates``' symmetric run kernel cannot express. One
     coarse token-bucket exchange of LIGHT (tok, id, role) rows yields
-    candidate (probe, index) pairs from one polars join per bucket;
+    candidate (probe, index) pairs from one polars join per block;
     shingle sets never ride the exchange (the index side would cost
     O(n²) bytes per doc).
 

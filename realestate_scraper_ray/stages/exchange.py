@@ -1,12 +1,12 @@
 """The one hash exchange: route rows by a version-stable key hash.
 
 Every keyed shuffle in the engine has the same shape — tag each row
-with a coarse bucket of its key, ``groupby(bucket).map_groups(fold)``,
-and let ``fold`` process ALL rows of the bucket's keys in one
-vectorized pass. A per-key ``map_groups`` pays Python dispatch once
-per key (the tiny-group pathology); per-bucket dispatch amortizes it
-over ~|keys|/nb keys while the shuffle moves the same bytes. A key
-never splits across buckets.
+with a coarse bucket of its key, range-sort on it, and let ``fold``
+process each sorted block (one or more whole buckets: the sort never
+splits a bucket, and a key never splits across buckets) in one
+vectorized pass. A per-key or per-bucket call pays Python and frame
+set-up once per group (the tiny-group pathology); a per-block call
+pays it once per reducer while the shuffle moves the same bytes.
 
 Bucket ids are pure uint64 numpy arithmetic (``splitmix64``, and
 ``fnv1a64`` for strings), so they do not move with a library upgrade —
@@ -48,11 +48,13 @@ def bucket_of(values, nb: int) -> np.ndarray:
 
 
 def exchange(ds, key: str, fold, nb: int) -> rd.Dataset:
-    """One shuffle on ``bucket_of(ds[key], nb)``, then one ``fold``
-    call per non-empty bucket. ``fold`` receives a pyarrow Table with
-    every row of the bucket's keys (the bucket column already dropped)
-    and returns a pyarrow Table or pandas DataFrame; it must be
-    key-vectorized, never a Python loop over keys.
+    """One range sort on ``bucket_of(ds[key], nb)``, then one ``fold``
+    call per non-empty sorted output block. ``fold`` receives a pyarrow
+    Table with every row of the keys it holds — one or more whole
+    buckets (the bucket column already dropped) — and returns a pyarrow
+    Table or pandas DataFrame; it must be key-vectorized, never a
+    Python loop over keys. A fold whose output is per bucket splits its
+    input with ``buckets``.
 
     ``ds`` may be a list of Datasets sharing ``key`` (a two-sided
     exchange): each input is tagged before their union, so the tag fuses
@@ -63,12 +65,21 @@ def exchange(ds, key: str, fold, nb: int) -> rd.Dataset:
         return t.append_column("_bkt", pa.array(bucket_of(t[key], nb)))
 
     def run(t: pa.Table):
-        return fold(t.drop_columns(["_bkt"]))
+        if t.num_rows:
+            yield fold(t.drop_columns(["_bkt"]))
 
     first, *rest = [d.map_batches(tag, batch_format="pyarrow")
                     for d in (ds if isinstance(ds, list) else [ds])]
-    return ((first.union(*rest) if rest else first)
-            .groupby("_bkt").map_groups(run, batch_format="pyarrow"))
+    return ((first.union(*rest) if rest else first).sort("_bkt")
+            .map_batches(run, batch_format="pyarrow", batch_size=None))
+
+
+def buckets(t: pa.Table, key: str, nb: int) -> list:
+    """``(bucket, rows)`` per bucket of ``key`` in ``t``, ascending: the
+    split of an ``exchange`` block for folds that write one file per
+    bucket."""
+    b = bucket_of(t[key], nb)
+    return [(int(v), t.filter(pa.array(b == v))) for v in np.unique(b)]
 
 
 def read(paths, columns: list[str] | None = None, filter=None) -> rd.Dataset:

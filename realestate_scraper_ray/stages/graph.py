@@ -483,7 +483,7 @@ def triangle_counts(edges: rd.Dataset, col_a: str = "id_a",
          adjacency is O(√2m), which bounds wedge volume at O(m^1.5)
          instead of O(Σd²) (the "last reducer" hub blowup); wedges
          (key, u) and edge keys (key, u=-1) share one ``exchange`` on
-         key; one vectorized ``searchsorted`` per bucket.
+         key; one vectorized ``searchsorted`` per block.
          Each triangle is found exactly once (the wedge from its
          min-rank vertex).
       3. credit: every triangle counts for all three vertices — the

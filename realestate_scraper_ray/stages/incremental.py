@@ -36,11 +36,12 @@ import os
 import uuid
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .exchange import bucket_of, exchange, read
+from .exchange import buckets, exchange, read
 
 
 class IncrementalGroupSum:
@@ -87,10 +88,8 @@ class IncrementalGroupSum:
             self.state_dir, self.key_cols, self.int_key
         nb = self.n_buckets
 
-        def merge_bucket(t: pa.Table):
-            import pandas as pd
+        def merge_bucket(bucket: int, t: pa.Table):
             g = t.to_pandas()
-            bucket = int(bucket_of(t[int_key][:1], nb)[0])
             bdir = os.path.join(state_dir, f"bucket={bucket:02d}")
             os.makedirs(bdir, exist_ok=True)
             path = os.path.join(bdir, "part.parquet")
@@ -119,8 +118,12 @@ class IncrementalGroupSum:
             os.replace(tmp, path)
             return pd.DataFrame({"bucket": [bucket], "rows": [len(merged)]})
 
+        def merge(t: pa.Table):
+            return pd.concat([merge_bucket(b, g)
+                              for b, g in buckets(t, int_key, nb)])
+
         exchange(delta.map_batches(partials_fn, batch_format="pyarrow"),
-                 int_key, merge_bucket, nb) \
+                 int_key, merge, nb) \
             .materialize()  # drive the side-effecting writes
         self._record_delta(delta_id)
         return True
@@ -171,7 +174,7 @@ class IncrementalDedup:
         (the per-bucket metadata records applied delta ids).
 
         Scale shape: the text never leaves its scan task — only
-        (hash, id) int pairs ride the bucket exchange; each bucket task
+        (hash, id) int pairs ride the bucket exchange; each bucket
         merges against its own parquet file.  Survivor *rows* are
         recovered by an adaptive semi-join of the delta against the
         winning ids."""
@@ -189,10 +192,8 @@ class IncrementalDedup:
                     .group_by("h").aggregate([("id", "min")])
                     .rename_columns(["h", "id"]))
 
-        def merge_bucket(t: pa.Table):
-            import pandas as pd
+        def merge_bucket(bucket: int, t: pa.Table):
             g = t.to_pandas()
-            bucket = int(bucket_of(t["h"][:1], nb)[0])
             path = bucket_path(bucket)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             cand = (g.groupby("h", as_index=False)["id"].min())
@@ -224,6 +225,10 @@ class IncrementalDedup:
                 new = seen.merge(cand, on=["h", "id"])
             return new[["id"]]
 
+        def merge(t: pa.Table):
+            return pd.concat([merge_bucket(b, g)
+                              for b, g in buckets(t, "h", nb)])
+
         winners = exchange(delta.map_batches(keys, batch_format="pyarrow"),
-                           "h", merge_bucket, nb).materialize()
+                           "h", merge, nb).materialize()
         return semi_join(delta, winners, id_col, "id")

@@ -12,7 +12,7 @@ routes the join:
   it, and the probe side streams through a vectorized ``map_batches``
   (``pc.is_in`` / ``pc.index_in``). Zero shuffle of the probe side.
 - ``> threshold_bytes``: one two-sided ``exchange`` on the key — both
-  sides shuffle, and each bucket runs the same ``index_in`` probe
+  sides shuffle, and each block runs the same ``index_in`` probe
   against its own build rows. Nothing is ever driver-materialized.
   Not ``Dataset.join``: in Ray 2.49 two chained joins of 8 partitions
   never finished on a 4-CPU Ray cluster (each join's aggregator actors
@@ -70,7 +70,7 @@ def _hash_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
                num_partitions: int) -> rd.Dataset:
     """The above-cap join: fact and dim rows, null-padded to one schema
     and told apart by ``_dim``, share one ``exchange`` on the key, and
-    each bucket's fact rows ``_probe`` its dim rows. ``fact`` is
+    each block's fact rows ``_probe`` its dim rows. ``fact`` is
     materialized first: its schema pads the dim rows."""
     fact = fact.materialize()
     fs = fact.schema()

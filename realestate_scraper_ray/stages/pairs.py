@@ -118,7 +118,7 @@ def candidates(ds: rd.Dataset, id_col: str, keys_fn, nb: int) -> rd.Dataset:
 def distinct(ds: rd.Dataset, nb: int) -> rd.Dataset:
     """Rows of ``ds`` unique on ``(id_a, id_b)``, keeping each pair's
     first row (its twins carry the same exact score): one ``exchange``
-    on ``id_a``, ``first_rows`` per bucket."""
+    on ``id_a``, ``first_rows`` per block."""
     return exchange(ds, "id_a", lambda t: t.take(first_rows(
         t["id_a"].to_numpy(), t["id_b"].to_numpy())), nb)
 

@@ -21,6 +21,9 @@ against, on the current machine:
                     into one map whose task reads that row group itself
   groupby_64blk     sort-exchange over 64 tiny blocks
   groupby_4blk      the same rows in 4 blocks
+  exchange_exec     the engine's ``exchange``: the one-block read, then
+                    an identity fold over 64 buckets (one fold call per
+                    sorted block)
   per_block_ms      marginal sort cost per extra input block
 
 Mitigations shipped in round 5 (BASELINE.md "execution constant"):
@@ -74,7 +77,7 @@ def main() -> None:
     import ray.data as rd
     from ray.data import DataContext
 
-    from realestate_scraper_ray.stages.exchange import read
+    from realestate_scraper_ray.stages.exchange import exchange, read
 
     DataContext.get_current().enable_progress_bars = False
 
@@ -108,6 +111,8 @@ def main() -> None:
 
         out["groupby_64blk"] = _t(lambda: grp(64))
         out["groupby_4blk"] = _t(lambda: grp(4))
+        out["exchange_exec"] = _t(lambda: exchange(
+            read(p), "x", lambda t: t, 64).materialize())
     out["per_block_ms"] = round(
         (out["groupby_64blk"] - out["groupby_4blk"]) / 60 * 1000, 2)
     print(json.dumps(out))

@@ -8,6 +8,7 @@ import os
 import pyarrow.parquet as pq
 
 from realestate_scraper_ray.pipelines.curate import curate_corpus, read_curated
+from realestate_scraper_ray.stages.exchange import bucket_of
 
 SF = "/root/testdata/sf0.001"
 
@@ -18,11 +19,15 @@ def test_curate_funnel_and_partitions(tmp_path, ray_session):
     # funnel only ever shrinks
     assert m["n_in"] >= m["n_after_quality"] >= m["n_after_exact"] \
         >= m["n_survivors"] > 0
-    # partitioned layout + manifest agree with the files
+    # partitioned layout + manifest agree with the files, and each file
+    # holds only its own bucket's docs (one fold call writes several)
+    assert len(m["bucket_rows"]) > 1
     total = 0
     for b, n in m["bucket_rows"].items():
         p = os.path.join(out, f"bucket={int(b):02d}", "part.parquet")
         assert pq.ParquetFile(p).metadata.num_rows == n
+        ids = pq.read_table(p, columns=["doc_id"])["doc_id"]
+        assert (bucket_of(ids, 8) == int(b)).all()
         total += n
     assert total == m["n_survivors"]
     with open(os.path.join(out, "manifest.json")) as f:

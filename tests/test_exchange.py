@@ -1,10 +1,13 @@
 """The one hash exchange (stages/exchange.py): pinned bucket ids, key
-completeness per bucket, empty input, the byte-sized parquet read, and
-a guard that no other bucket-hash family or parquet read creeps back
-into the package."""
+and bucket completeness per fold call, one fold call per sorted block,
+empty input, the byte-sized parquet read, and a guard that no other
+bucket-hash family, first-row bucket or parquet read creeps back into
+the package."""
 
 import os
 import pathlib
+import re
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -12,7 +15,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from realestate_scraper_ray.stages.exchange import bucket_of, exchange, read
+from realestate_scraper_ray.stages.exchange import (bucket_of, buckets,
+                                                    exchange, read)
 
 _INT_KEYS = np.array([0, 1, 2, 7, 42, 1000003, -1, 2**40 + 5], np.int64)
 _STR_KEYS = ["", "a", "abc", "token", "https://x.pl/oferta/123", "żółć"]
@@ -67,18 +71,61 @@ def test_exchange_keeps_each_key_in_one_bucket(ray_session):
     def fold(t: pa.Table) -> pa.Table:
         assert "_bkt" not in t.column_names
         k = t["k"].to_numpy()
-        b = np.unique(bucket_of(k, 8))
-        assert len(b) == 1
         u, n = np.unique(k, return_counts=True)
-        return pa.table({"k": u, "n": n, "b": np.full(len(u), b[0])})
+        return pa.table({"k": u, "n": n, "b": bucket_of(u, 8),
+                         "call": np.full(len(u), uuid.uuid4().hex)})
 
     out = exchange(ds, "k", fold, 8).to_pandas()
     assert out["k"].is_unique  # no key split across buckets
+    # no bucket split across fold calls
+    assert (out.groupby("b")["call"].nunique() == 1).all()
     exp_k, exp_n = np.unique(keys, return_counts=True)
     out = out.sort_values("k")
     assert out["k"].tolist() == exp_k.tolist()
     assert out["n"].tolist() == exp_n.tolist()
     assert out["b"].tolist() == bucket_of(exp_k, 8).tolist()
+
+
+def _calls(ds, nb: int):
+    """One row per fold call: its row count and key/bucket sets."""
+    def fold(t: pa.Table) -> pa.Table:
+        k = t["k"].to_numpy()
+        return pa.table({"n": [t.num_rows], "keys": [np.unique(k).tolist()],
+                         "b": [np.unique(bucket_of(k, nb)).tolist()]})
+    return exchange(ds, "k", fold, nb).to_pandas()
+
+
+def test_exchange_one_fold_call_per_block(ray_session):
+    import ray.data as rd
+    keys = np.random.default_rng(5).integers(0, 1000, 5000)
+    calls = _calls(rd.from_arrow(pa.table({"k": keys})), 64)
+    assert len(calls) == 1  # one block in, one fold call for 64 buckets
+    assert calls["n"][0] == 5000
+    assert len(calls["b"][0]) == len(np.unique(bucket_of(keys, 64)))
+
+
+def test_exchange_multi_block_keys_arrive_together(ray_session):
+    import ray.data as rd
+    keys = np.random.default_rng(6).integers(0, 1000, 8000)
+    ds = rd.from_arrow([pa.table({"k": keys[i::4]}) for i in range(4)])
+    calls = _calls(ds, 64)
+    assert 1 <= len(calls) <= 4  # one call per sorted block, not bucket
+    assert calls["n"].sum() == 8000
+    seen_k = [k for ks in calls["keys"] for k in ks]
+    seen_b = [b for bs in calls["b"] for b in bs]
+    assert len(seen_k) == len(set(seen_k)) == len(np.unique(keys))
+    assert len(seen_b) == len(set(seen_b))
+
+
+def test_buckets_splits_a_block_by_bucket():
+    t = pa.table({"k": np.arange(200, dtype=np.int64),
+                  "v": np.arange(200) * 2})
+    got = buckets(t, "k", 4)
+    assert [b for b, _ in got] == sorted(set(bucket_of(t["k"], 4)))
+    assert sum(g.num_rows for _, g in got) == 200
+    for b, g in got:
+        assert (bucket_of(g["k"], 4) == b).all()
+        assert (g["v"].to_numpy() == 2 * g["k"].to_numpy()).all()
 
 
 def test_exchange_string_keys_and_pandas_fold(ray_session):
@@ -182,7 +229,8 @@ _PKG = pathlib.Path(__file__).resolve().parent.parent / "realestate_scraper_ray"
 _ALLOWED = {
     "0x9E3779B97F4A7C15": {"functions/sketches.py", "functions/textstats.py"},
     "hash(seed=": set(),
-    'groupby("_bkt")': {"stages/exchange.py"},
+    'groupby("_bkt")': set(),
+    'sort("_bkt")': {"stages/exchange.py"},
     "rd.read_parquet(": {"stages/exchange.py"},
     "pc.round(": {"stages/aggregate.py"},
     "(1 << 31) - 1": {"stages/pairs.py"},
@@ -201,6 +249,18 @@ def test_no_other_bucket_hash_family(needle):
     assert not hits, f"{needle!r} outside its allowed files: {hits}"
     crawl = (_PKG / "pipelines/crawl.py").read_text()
     assert crawl.count("hash(seed=") == 0
+
+
+def test_no_first_row_bucket_idiom():
+    """A fold's block holds several buckets, so no fold may take its
+    bucket from its first row; per-bucket writers use ``buckets``."""
+    idiom = re.compile(r"bucket_of\(\w+\[[^\]]+\]\[:1\]")
+    hits = [f"{p.relative_to(_PKG)}:{i}"
+            for p in sorted(_PKG.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if idiom.search(line)]
+    assert not hits, hits
+    assert "map_groups" not in (_PKG / "stages/exchange.py").read_text()
 
 
 def test_relational_rounds_only_through_scaled():

@@ -114,6 +114,36 @@ def test_untouched_buckets_not_rewritten(ray_session, tmp_path):
             assert os.stat(p).st_mtime_ns == stamps[p]
 
 
+def test_one_block_writes_every_bucket_file(ray_session, tmp_path):
+    """A one-block delta reaches one fold call holding all four
+    buckets; each bucket file still holds exactly its own keys, for
+    both the grouped sum and the dedup fingerprints."""
+    from realestate_scraper_ray.stages.exchange import bucket_of
+    from realestate_scraper_ray.stages.incremental import IncrementalDedup
+    d = _mk(np.random.default_rng(7), 600)
+    st = IncrementalGroupSum(str(tmp_path / "sum"), ["k", "grp"], "k",
+                             n_buckets=4)
+    st.update(rd.from_arrow(d), "d0", _partials)
+    want = _expect([d])
+    assert _state_dict(st) == want
+    kb = bucket_of(np.array([k for k, _ in want]), 4)
+    dd = IncrementalDedup(str(tmp_path / "dedup"), n_buckets=4)
+    ids = np.arange(100)
+    survivors = dd.ingest(_docs(ids, [f"t{i % 80}" for i in ids]), "d0",
+                          "text", "doc_id").to_pandas()
+    assert sorted(survivors["doc_id"]) == list(range(80))
+    n_h = 0
+    for b in range(4):
+        got = pq.read_table(os.path.join(st.state_dir, f"bucket={b:02d}",
+                                         "part.parquet"))
+        assert (bucket_of(got["k"], 4) == b).all()
+        assert got.num_rows == (kb == b).sum()
+        h = pq.read_table(dd._bucket_path(b))["h"]
+        assert (bucket_of(h, 4) == b).all()
+        n_h += len(h)
+    assert n_h == 80
+
+
 # ---------------------------------------------------------------------------
 # IncrementalDedup: cross-snapshot dedup at ingest
 # ---------------------------------------------------------------------------
